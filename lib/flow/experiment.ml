@@ -92,11 +92,12 @@ let rec first_load stores key decode =
 
 let save_all stores key encode = List.iter (fun s -> Store.save s key encode) stores
 
-let prepare ?(samples = 50) ?(seed = 42) ?(mcu_config = Mcu.default_config) ?store ?ckpt
-    ?(reuse = true) ?specs () =
+let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
+  let { Request.seed; samples } =
+    Option.value (Request.base_of req) ~default:{ Request.seed = 42; samples = 50 }
+  in
   Obs.span "flow.prepare" ~attrs:(fun () -> [ ("samples", string_of_int samples) ])
   @@ fun () ->
-  let store = if reuse then store else None in
   let char_config = Characterize.default_config in
   let mismatch = Mismatch.default in
   let statlib_key = Statistical.store_key char_config ~mismatch ~seed ~n:samples ?specs () in
@@ -139,12 +140,6 @@ let prepare ?(samples = 50) ?(seed = 42) ?(mcu_config = Mcu.default_config) ?sto
     periods = paper_period_labels min_period;
     memo = make_memo ?store ?ckpt ~statlib_id ();
   }
-
-let prepare_request ?mcu_config ?store ?ckpt ?reuse ?specs req =
-  let { Request.seed; samples } =
-    Option.value (Request.base_of req) ~default:{ Request.seed = 42; samples = 50 }
-  in
-  prepare ~samples ~seed ?mcu_config ?store ?ckpt ?reuse ?specs ()
 
 let min_period_key setup =
   Store.Key.(

@@ -16,46 +16,23 @@
     <run>/report.txt    everything the run printed, written on completion
     v}
 
-    [execute_request] starts one, installing SIGINT/SIGTERM handlers
-    that request a cooperative stop: the pipeline finishes the current
+    [execute_request] starts one: it journals the request's canonical
+    line ({!Request.to_line}, the same bytes as the serve dedup key) in
+    a [Run_started] step and installs SIGINT/SIGTERM handlers that
+    request a cooperative stop: the pipeline finishes the current
     round, checkpoints its partial state to [state/], journals the
     checkpoint and raises {!Vartune_journal.Journal.Interrupted}, which
     the CLI maps to exit 75 (EX_TEMPFAIL).  [resume] replays the
-    journal, reconstructs the run's request from the [Run_started]
-    step, re-validates every journaled artifact against the store by
-    recipe key (a corrupt entry is evicted and recomputed, never
-    trusted) and continues.  The resumed output — stdout, [report.txt],
-    [statlib.lib] — is bit-identical to an uninterrupted run at any
-    [--jobs] and any checkpoint cadence. *)
-
-type kind =
-  | Statlib  (** build the statistical library and stop *)
-  | Experiment of {
-      mc_samples : int;
-      period : float option;  (** [None]: the measured minimum *)
-      tuning : Vartune_tuning.Tuning_method.t;
-    }  (** the full experiment pipeline (the [experiment] subcommand) *)
-
-type params = {
-  seed : int;
-  samples : int;
-  kind : kind;
-  output : string option;  (** [-o]: extra copy of the library *)
-}
+    journal, decodes the run's request from the [Run_started] line
+    with {!Request.of_line}, re-validates every journaled artifact
+    against the store by recipe key (a corrupt entry is evicted and
+    recomputed, never trusted) and continues.  The resumed output —
+    stdout, [report.txt], [statlib.lib] — is bit-identical to an
+    uninterrupted run at any [--jobs] and any checkpoint cadence. *)
 
 val std_parameters : float list
-(** The experiment sweep's constraint-parameter ladder
-    ([0.01; 0.02; 0.05]) — the only sweep shape the fixed-field journal
-    record can describe, hence the only journal-able one. *)
-
-val request_of_params : params -> Request.t
-(** The {!Request.t} a legacy [params] record denotes: [Statlib] maps
-    to {!Request.Statlib}, [Experiment] to a {!Request.Sweep} over
-    {!std_parameters} with its Monte-Carlo stage. *)
-
-val params_of_request : ?output:string -> Request.t -> params option
-(** Inverse of {!request_of_params} on its image; [None] for request
-    kinds (or sweep shapes) the journal cannot record. *)
+(** The [experiment] subcommand's constraint-parameter ladder
+    ([0.01; 0.02; 0.05]). *)
 
 val run_line : string -> Experiment.run -> string
 (** One synthesis-result summary line, shared by [synth], [experiment]
@@ -91,35 +68,25 @@ val execute_request :
   ?output:string ->
   Request.t ->
   unit
-(** Runs a journal-able request journaled under [run_dir] (created if
-    missing); [output] is the [-o] extra library copy.  Raises
+(** Runs any request {!eval} handles journaled under [run_dir] (created
+    if missing).  On completion [report.txt] holds the emitted lines
+    and, when the request yields a library, [statlib.lib] holds it and
+    [output] receives an extra copy ([-o]).  Raises
     [Journal.Interrupted] after a graceful, checkpointed stop — the
     journal is sealed ["interrupted"] and [vartune resume] continues
-    the run — and [Invalid_argument] if {!params_of_request} is [None]
-    for the request. *)
+    the run. *)
 
 val resume : run_dir:string -> ?store:Vartune_store.Store.t -> unit -> unit
 (** Resumes an interrupted journaled run.  Raises
-    [Journal.Corrupt] if the journal is missing, truncated or fails a
-    checksum — a damaged journal is a clean typed error (exit 65),
-    never a wrong result. *)
+    [Journal.Corrupt] if the journal is missing, truncated, fails a
+    checksum, was written under another journal version or records a
+    request line that does not decode — a damaged journal is a clean
+    typed error (exit 65), never a wrong result. *)
+
+val request_of_steps : Vartune_journal.Journal.step list -> Request.t * string option
+(** The request and [-o] path recorded by a journal's [Run_started]
+    step.  Raises [Journal.Corrupt] when there is none or its line does
+    not decode. *)
 
 val journal_path : string -> string
 (** [<run>/journal.vtj]. *)
-
-(** {2 Deprecated entry points}
-
-    One-line wrappers over {!eval} / {!execute_request}, kept for this
-    PR only. *)
-
-val run_pipeline :
-  ?store:Vartune_store.Store.t ->
-  ?ckpt:Vartune_journal.Journal.ctx ->
-  emit:(string -> unit) ->
-  params ->
-  Vartune_liberty.Library.t
-[@@ocaml.deprecated "use eval with a Request.t instead"]
-
-val execute :
-  run_dir:string -> ?store:Vartune_store.Store.t -> params -> unit
-[@@ocaml.deprecated "use execute_request with a Request.t instead"]

@@ -12,7 +12,7 @@ module Journal = Vartune_journal.Journal
 
 type timeline = {
   steps : Journal.timed list;
-  samples : int;  (* target sample count from Run_started; 0 if absent *)
+  samples : int;  (* target sample count of the Run_started request; 0 if absent *)
   samples_done : int;  (* highest Block_done hi *)
   blocks : int;
   checkpoints : int;
@@ -39,10 +39,9 @@ let timeline_of_steps steps =
   let first = match steps with [] -> 0L | s :: _ -> s.Journal.at_ns in
   let last = List.fold_left (fun _ s -> s.Journal.at_ns) first steps in
   let samples =
-    List.find_map
-      (function Journal.{ step = Run_started { samples; _ }; _ } -> Some samples | _ -> None)
-      steps
-    |> Option.value ~default:0
+    match Run.request_of_steps (List.map (fun s -> s.Journal.step) steps) with
+    | req, _ -> Option.fold ~none:0 ~some:(fun b -> b.Request.samples) (Request.base_of req)
+    | exception Journal.Corrupt _ -> 0
   in
   List.fold_left
     (fun acc s ->

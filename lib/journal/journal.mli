@@ -18,8 +18,8 @@
     All integers are {!Vartune_store.Codec} fixed-width little-endian;
     [payload] is a length-prefixed string holding a wall-clock
     timestamp (ns since the epoch, covered by the checksum — journal
-    version 2) followed by one encoded step, and [checksum] is a 62-bit
-    FNV-1a digest of it.  Appends are serialised
+    version 2 and later) followed by one encoded step, and [checksum]
+    is a 62-bit FNV-1a digest of it.  Appends are serialised
     through a mutex, written with a single [write] and [fsync]ed, so a
     reader never observes a torn record from a graceful writer.  Replay
     verifies the header and every record checksum; a truncated or
@@ -59,14 +59,11 @@ exception Interrupted of string
 
 type step =
   | Run_started of {
-      seed : int;
-      samples : int;
-      kind : string;  (** ["statlib"] or ["experiment"] *)
-      mc_samples : int;
-      period : float option;
-      tuning : string;  (** {!Vartune_tuning.Tuning_method.to_string} spelling *)
-      output : string option;
-    }  (** The run's full parameter set — what [resume] reconstructs. *)
+      request : string;
+          (** the canonical request line ([Request.to_line]) — what
+              [resume] decodes to reconstruct the run *)
+      output : string option;  (** [-o]: extra copy of the library *)
+    }
   | Block_done of { statlib : string; lo : int; hi : int }
       (** Sample indices [\[lo, hi)] of the statistical library whose
           store-recipe id is [statlib] have been accumulated. *)

@@ -30,40 +30,15 @@ let get t endpoint =
 (* Retry / backoff discipline                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The same ladder shape as the store's transient-fault policy: a
-   bounded number of retries with exponential backoff and a
-   deterministic jitter — derived from the policy seed and the attempt
-   index, never the wall clock — to decorrelate concurrent retriers.
-   The daemon's [retry_after_s] hint is honoured as a floor: the client
-   never comes back sooner than the server asked. *)
+(* The store's ladder ([Rng.backoff_s]): a bounded number of retries
+   with exponential backoff and a jitter derived from the policy seed
+   and the attempt index, never the wall clock.  The daemon's
+   [retry_after_s] hint is honoured as a floor: the client never comes
+   back sooner than the server asked. *)
 
-type retry_policy = { attempts : int; base_backoff_s : float; seed : int }
+type retry_policy = { attempts : int; seed : int }
 
-let default_policy = { attempts = 3; base_backoff_s = 0.0005; seed = 0 }
-
-(* splitmix64 finaliser, self-contained like the fault engine's. *)
-let mix64 (z : int64) : int64 =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
-  logxor z (shift_right_logical z 33)
-
-let jitter ~seed ~attempt =
-  let h =
-    mix64
-      (Int64.add
-         (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int (attempt + 1)))
-         (Int64.of_int seed))
-  in
-  Int64.to_float (Int64.logand h 0xffL) /. 255.0
-
-let backoff_s policy ~attempt ~hint =
-  let ladder =
-    policy.base_backoff_s
-    *. (2.0 ** float_of_int attempt)
-    *. (1.0 +. jitter ~seed:policy.seed ~attempt)
-  in
-  Float.max ladder (Option.value hint ~default:0.0)
+let default_policy = { attempts = 3; seed = 0 }
 
 (* A response is retryable exactly when the daemon said so: code 75
    with a [retry_after_s] hint (an overload shed).  Drain 75s carry a
@@ -77,7 +52,9 @@ let request_retrying ?id ?priority ?deadline_s ?(policy = default_policy) t req 
       when resp.Response.code = 75
            && resp.Response.retry_after_s <> None
            && attempt < policy.attempts ->
-      Unix.sleepf (backoff_s policy ~attempt ~hint:resp.Response.retry_after_s);
+      Unix.sleepf
+        (Vartune_util.Rng.backoff_s ~seed:policy.seed ~attempt
+           ~floor:(Option.value resp.Response.retry_after_s ~default:0.0));
       go (attempt + 1) (retries + 1)
     | Ok _ as ok -> (ok, retries)
   in

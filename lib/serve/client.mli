@@ -31,24 +31,18 @@ val get : t -> string -> string
 (** {2 Retry / backoff discipline}
 
     Overload sheds (code 75 with a [retry_after_s] hint) are transient
-    by construction; {!request_retrying} absorbs them with the same
-    ladder shape as the store's transient-fault policy: a bounded
-    number of retries with seeded jittered exponential backoff, never
-    sooner than the daemon's hint. *)
+    by construction; {!request_retrying} absorbs them on the store's
+    ladder ({!Vartune_util.Rng.backoff_s}): a bounded number of retries
+    with seeded jittered exponential backoff, never sooner than the
+    daemon's hint. *)
 
 type retry_policy = {
   attempts : int;  (** maximum retries after the first send *)
-  base_backoff_s : float;  (** ladder base; doubles per attempt *)
   seed : int;  (** jitter seed — same seed, same waits *)
 }
 
 val default_policy : retry_policy
-(** 3 attempts over a 0.5 ms base, seed 0 — the store's ladder. *)
-
-val backoff_s : retry_policy -> attempt:int -> hint:float option -> float
-(** The wait before retry [attempt] (0-based): the jittered ladder
-    value, floored at the daemon's [hint].  Exposed for tests and the
-    load generator's accounting. *)
+(** 3 attempts, seed 0. *)
 
 val request_retrying :
   ?id:int ->

@@ -204,23 +204,16 @@ let entry_path t key =
 (* ------------------------------------------------------------------ *)
 
 (* Transient faults (interrupted reads, flaky writes, lock hiccups) are
-   retried a bounded number of times with exponential backoff; the
-   jitter decorrelates concurrent retriers and is derived from a global
-   counter, not the wall clock, so replay stays deterministic.  ENOSPC
-   is persistent: no retry, the handle degrades immediately.  After
-   [degrade_after] consecutive exhausted-retry failures the handle also
+   retried a bounded number of times with exponential backoff
+   ([Rng.backoff_s]); the jitter is seeded from a global counter, not
+   the wall clock, so concurrent retriers decorrelate and replay stays
+   deterministic.  ENOSPC is persistent: no retry, the handle degrades
+   immediately.  After [degrade_after] consecutive exhausted-retry failures the handle also
    degrades: loads report misses, saves become no-ops, the pipeline
    recomputes and completes without the accelerator. *)
 let retry_attempts = 3
 let degrade_after = 5
-let backoff_base_s = 0.0005
 let backoff_salt = Atomic.make 0
-
-let backoff_s attempt =
-  let salt = Atomic.fetch_and_add backoff_salt 1 in
-  let h = Key.fnv1a64 0xcbf29ce484222325L (Printf.sprintf "%d.%d" attempt salt) in
-  let jitter = Int64.to_float (Int64.logand h 0xffL) /. 255.0 in
-  backoff_base_s *. (2.0 ** float_of_int attempt) *. (1.0 +. jitter)
 
 let degrade t reason =
   if not (Atomic.exchange t.is_degraded true) then begin
@@ -272,7 +265,8 @@ let with_retries (t : t) ~site f =
           Obs.Counter.incr c_retry;
           Log.debug (fun m ->
               m "%s attempt %d failed (%s); retrying" site (attempt + 1) reason);
-          Unix.sleepf (backoff_s attempt);
+          let seed = Atomic.fetch_and_add backoff_salt 1 in
+          Unix.sleepf (Vartune_util.Rng.backoff_s ~seed ~attempt ~floor:0.0);
           go (attempt + 1)
         end)
   in

@@ -68,3 +68,9 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+let backoff_base_s = 0.0005
+
+let backoff_s ~seed ~attempt ~floor =
+  let jitter = uniform (stream (create seed) attempt) in
+  Float.max floor (backoff_base_s *. (2.0 ** float_of_int attempt) *. (1.0 +. jitter))

@@ -47,3 +47,18 @@ val gaussian : t -> mean:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
+
+(** {2 Retry backoff} *)
+
+val backoff_base_s : float
+(** First rung of the {!backoff_s} ladder: 0.5 ms. *)
+
+val backoff_s : seed:int -> attempt:int -> floor:float -> float
+(** The wait before retry [attempt] (0-based):
+    [backoff_base_s *. 2{^attempt} *. (1 +. jitter)], never below
+    [floor].  The jitter, in \[0, 1), is the first {!uniform} deviate of
+    [stream (create seed) attempt] — derived from the seed, never the
+    wall clock, so the same seed gives the same waits while different
+    seeds decorrelate concurrent retriers.  This one ladder serves both
+    the artifact store's transient-fault retries and the serve client's
+    overload retries. *)

@@ -3,10 +3,15 @@
    fault specs and tuning environment variables, data errors (65) for
    unparsable inputs and damaged journals, I/O errors (74) for a full
    stdout, and the checkpoint → exit 75 → resume → bit-identical-output
-   contract end to end through the real binary. *)
+   contract end to end through the real binary — plus golden digests
+   that pin the statistical library's bytes absolutely, not only
+   relative to another run of the same build. *)
 
 module Library = Vartune_liberty.Library
 module Printer = Vartune_liberty.Printer
+module Codec = Vartune_store.Codec
+module Request = Vartune_flow.Request
+module Run = Vartune_flow.Run
 
 (* The binary is a declared dune dep, built next to this test:
    _build/default/{test/test_cli.exe, bin/vartune.exe}.  Resolve it
@@ -118,6 +123,28 @@ let test_resume_damaged_journal () =
   check_exit "journal listing of a corrupt journal exits 65" 65
     (vartune [ "journal"; corrupt ])
 
+(* A well-formed header of journal version 2 (fixed-field Run_started
+   records): refused as a typed data error naming the version. *)
+let test_old_journal_version () =
+  let rd = in_temp "v2_run" in
+  mkdir_p rd;
+  let b = Buffer.create 24 in
+  Buffer.add_string b "VTJRNL01";
+  Codec.w_int b 2;
+  Codec.w_int b Codec.version;
+  write_file (Run.journal_path rd) (Buffer.contents b);
+  List.iter
+    (fun args ->
+      let capture = in_temp "v2_out.txt" in
+      check_exit (String.concat " " args ^ " of a v2 journal exits 65") 65
+        (vartune ~capture args);
+      let out = read_file capture in
+      Alcotest.(check bool)
+        (Printf.sprintf "message names journal version 2: %S" out)
+        true
+        (Helpers.contains out "journal version 2"))
+    [ [ "resume"; rd; "--no-store" ]; [ "journal"; rd ] ]
+
 (* ------------------------------------------------------------------ *)
 (* Interrupt / resume through the real binary                          *)
 (* ------------------------------------------------------------------ *)
@@ -152,7 +179,6 @@ let test_statlib_interrupt_resume () =
 (* Overload drain through the real binary                              *)
 (* ------------------------------------------------------------------ *)
 
-module Request = Vartune_flow.Request
 module Response = Vartune_flow.Response
 module Client = Vartune_serve.Client
 module Json = Vartune_obs.Json
@@ -242,6 +268,31 @@ let test_serve_sigterm_drain_under_load () =
         (r.Response.retry_after_s <> None))
     [ ("queued B", 1); ("queued C", 2) ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden digests                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 hex of the seed-42, N=8 statistical library and of its
+   journaled run's report.  They pin results absolutely: a change here
+   means the results moved, and needs a CHANGES.md line saying why. *)
+let golden_statlib = "c5ac3cb06dbf8bcb921c321050cb810c"
+let golden_report = "042c209e17ab1a9b0d97f34910f073f4"
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let test_golden_eval () =
+  let evaled = Run.eval (Request.Statlib { seed = 42; samples = 8 }) in
+  Alcotest.(check string) "statlib seed 42, N=8" golden_statlib (digest evaled.Run.out)
+
+let test_golden_run_dir () =
+  let rd = in_temp "golden_run" in
+  check_exit "journaled statlib exits 0" 0
+    (vartune [ "statlib"; "-n"; "8"; "--jobs"; "1"; "--no-store"; "--run-dir"; rd ]);
+  Alcotest.(check string) "statlib.lib" golden_statlib
+    (digest (read_file (Filename.concat rd "statlib.lib")));
+  Alcotest.(check string) "report.txt" golden_report
+    (digest (read_file (Filename.concat rd "report.txt")))
+
 let () =
   Alcotest.run "cli"
     [
@@ -252,6 +303,12 @@ let () =
           Alcotest.test_case "full stdout (74)" `Quick test_io_error_full_stdout;
           Alcotest.test_case "parse ok (0)" `Quick test_parse_ok;
           Alcotest.test_case "damaged journal (65)" `Quick test_resume_damaged_journal;
+          Alcotest.test_case "journal version 2 (65)" `Quick test_old_journal_version;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "Run.eval statlib digest" `Quick test_golden_eval;
+          Alcotest.test_case "statlib --run-dir digests" `Quick test_golden_run_dir;
         ] );
       ( "resume",
         [

@@ -4,7 +4,8 @@
    degradation under injected faults, and interrupted-and-resumed
    statistical-library builds that must be bit-identical to
    uninterrupted ones at any pool size — with fewer samples recomputed,
-   asserted via telemetry counters. *)
+   asserted via telemetry counters — and [Run.resume] of the canonical
+   request line a [Run_started] step records. *)
 
 module Journal = Vartune_journal.Journal
 module Fault = Vartune_fault.Fault
@@ -16,6 +17,11 @@ module Characterize = Vartune_charlib.Characterize
 module Catalog = Vartune_stdcell.Catalog
 module Mismatch = Vartune_process.Mismatch
 module Printer = Vartune_liberty.Printer
+module Request = Vartune_flow.Request
+module Run = Vartune_flow.Run
+module Run_report = Vartune_flow.Run_report
+module Cluster = Vartune_tuning.Cluster
+module Threshold = Vartune_tuning.Threshold
 
 let temp_root =
   Filename.concat
@@ -34,26 +40,31 @@ let fresh_path name =
   if Sys.file_exists path then Sys.remove path;
   path
 
+let cell_ceiling =
+  {
+    Vartune_tuning.Tuning_method.population = Cluster.Per_cell;
+    criterion = Threshold.Sigma_ceiling 0.02;
+  }
+
 let all_steps =
   [
     Journal.Run_started
       {
-        seed = 42;
-        samples = 50;
-        kind = "experiment";
-        mc_samples = 2000;
-        period = Some 4.08;
-        tuning = "cell/ceiling=0.02";
+        request =
+          Request.to_line
+            (Request.Sweep
+               {
+                 base = { Request.seed = 42; samples = 50 };
+                 tuning = cell_ceiling;
+                 period = Some 4.08;
+                 parameters = [ 0.01; 0.02; 0.05 ];
+                 mc_samples = Some 2000;
+               });
         output = Some "out.lib";
       };
     Journal.Run_started
       {
-        seed = 1;
-        samples = 8;
-        kind = "statlib";
-        mc_samples = 0;
-        period = None;
-        tuning = "";
+        request = Request.to_line (Request.Statlib { Request.seed = 1; samples = 8 });
         output = None;
       };
     Journal.Block_done { statlib = "statlib(n=8)"; lo = 0; hi = 4 };
@@ -288,6 +299,51 @@ let test_corrupt_checkpoint_falls_back () =
     (Printer.to_string reference) (Printer.to_string resumed);
   Alcotest.(check int) "corrupt checkpoint forced a full recompute" n recomputed
 
+(* ------------------------------------------------------------------ *)
+(* Run.resume of the journaled request line                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A run directory whose journal holds [Run_started] for [request] and
+   then an "interrupted" seal — what a run stopped before its first
+   checkpoint leaves behind. *)
+let interrupted_run name ~request =
+  let dir = Filename.concat temp_root name in
+  mkdir_p dir;
+  let j = Journal.create (Run.journal_path dir) in
+  Journal.append j (Journal.Run_started { request; output = None });
+  Journal.seal j ~reason:"interrupted";
+  dir
+
+(* The run report's target sample count comes from the same line. *)
+let check_report_samples dir expected =
+  match Run_report.build ~run_dir:dir () with
+  | Ok { Run_report.timeline = Some tl; _ } ->
+    Alcotest.(check int) "report timeline target samples" expected tl.Run_report.samples
+  | _ -> Alcotest.fail "run report has no journal timeline"
+
+let test_resume_undecodable_request () =
+  let dir = interrupted_run "undecodable" ~request:{|{"vartune":1,"kind":"no-such-kind"}|} in
+  (match Run.resume ~run_dir:dir () with
+  | () -> Alcotest.fail "resume accepted an undecodable request line"
+  | exception Journal.Corrupt _ -> ());
+  check_report_samples dir 0
+
+(* Tune was not journal-able under the fixed-field record; the request
+   line makes it resumable like every other kind [Run.eval] handles. *)
+let test_resume_tune () =
+  let req =
+    Request.Tune { base = { Request.seed = 42; samples = 8 }; tuning = cell_ceiling }
+  in
+  let dir = interrupted_run "tune" ~request:(Request.to_line req) in
+  Run.resume ~run_dir:dir ();
+  Alcotest.(check string)
+    "resumed report.txt is the plain evaluation's output" (Run.eval req).out
+    (read_file (Filename.concat dir "report.txt"));
+  Alcotest.(check bool)
+    "no library, no statlib.lib" false
+    (Sys.file_exists (Filename.concat dir "statlib.lib"));
+  check_report_samples dir 8
+
 let () =
   Alcotest.run "journal"
     [
@@ -310,5 +366,8 @@ let () =
             (test_interrupt_resume_bit_identical 4);
           Alcotest.test_case "corrupt checkpoint falls back" `Slow
             test_corrupt_checkpoint_falls_back;
+          Alcotest.test_case "undecodable request line is Corrupt" `Quick
+            test_resume_undecodable_request;
+          Alcotest.test_case "tune request resumes to eval bytes" `Slow test_resume_tune;
         ] );
     ]

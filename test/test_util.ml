@@ -91,6 +91,29 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* The one retry ladder the store and the serve client share. *)
+let test_rng_backoff_ladder () =
+  let waits seed = List.init 6 (fun attempt -> Rng.backoff_s ~seed ~attempt ~floor:0.0) in
+  Alcotest.(check (list (float 0.0))) "same seed, same waits" (waits 7) (waits 7);
+  Alcotest.(check bool) "different seeds decorrelate" true (waits 7 <> waits 8);
+  for seed = 0 to 99 do
+    List.iteri
+      (fun attempt w ->
+        (* w = base * 2^attempt * (1 + jitter): the rung doubles per
+           attempt and the jitter stays in [0, 1] *)
+        let jitter = (w /. (Rng.backoff_base_s *. (2.0 ** float_of_int attempt))) -. 1.0 in
+        if not (jitter >= 0.0 && jitter <= 1.0) then
+          Alcotest.failf "seed %d attempt %d: jitter %g outside [0, 1]" seed attempt jitter)
+      (waits seed)
+  done;
+  Alcotest.(check (float 0.0))
+    "a hint above the ladder is the wait" 2.5
+    (Rng.backoff_s ~seed:3 ~attempt:1 ~floor:2.5);
+  Alcotest.(check (float 0.0))
+    "a hint below the ladder changes nothing"
+    (Rng.backoff_s ~seed:3 ~attempt:1 ~floor:0.0)
+    (Rng.backoff_s ~seed:3 ~attempt:1 ~floor:1e-9)
+
 (* ------------------------------- Stat ------------------------------ *)
 
 let test_stat_mean () = check_float "mean" 2.5 (Stat.mean [| 1.0; 2.0; 3.0; 4.0 |])
@@ -364,6 +387,7 @@ let () =
           Alcotest.test_case "normal moments" `Slow test_rng_normal_moments;
           Alcotest.test_case "gaussian scaling" `Slow test_rng_gaussian_scaling;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "backoff ladder" `Quick test_rng_backoff_ladder;
         ] );
       ( "stat",
         [
