@@ -11,14 +11,30 @@ type t = {
   hold_time : float;
   clock_pin : string option;
   leakage : float;
+  pin_array : Pin.t array;
+  pin_arcs : Arc.t array array;
+  pin_related : int array array;
+  clock_index : int;
 }
 
 let make ~name ~family ~drive_strength ~kind ~area ~pins ?(setup_time = 0.0)
     ?(hold_time = 0.0) ?clock_pin ?(leakage = 0.0) () =
   if drive_strength <= 0 then invalid_arg "Cell.make: drive strength must be positive";
   if area < 0.0 then invalid_arg "Cell.make: negative area";
+  let pin_array = Array.of_list pins in
+  let index_where pred = Option.value (Array.find_index pred pin_array) ~default:(-1) in
+  let pin_arcs = Array.map (fun (p : Pin.t) -> Array.of_list p.arcs) pin_array in
+  let pin_related =
+    Array.map
+      (Array.map (fun (a : Arc.t) ->
+           index_where (fun p -> Pin.is_input p && p.name = a.related_pin)))
+      pin_arcs
+  in
+  let clock_index =
+    match clock_pin with None -> -1 | Some ck -> index_where (fun p -> p.name = ck)
+  in
   { name; family; drive_strength; kind; area; pins; setup_time; hold_time; clock_pin;
-    leakage }
+    leakage; pin_array; pin_arcs; pin_related; clock_index }
 
 let input_pins t =
   List.filter
@@ -28,6 +44,12 @@ let input_pins t =
 let data_input_names t = List.map (fun (p : Pin.t) -> p.name) (input_pins t)
 let output_pins t = List.filter Pin.is_output t.pins
 let find_pin t name = List.find_opt (fun (p : Pin.t) -> p.name = name) t.pins
+
+let pin_index t name =
+  match Array.find_index (fun (p : Pin.t) -> p.name = name) t.pin_array with
+  | Some i -> i
+  | None -> raise Not_found
+
 let arcs t = List.concat_map (fun (p : Pin.t) -> p.arcs) (output_pins t)
 
 let input_capacitance t name =

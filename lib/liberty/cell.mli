@@ -6,7 +6,7 @@
 
 type kind = Combinational | Flip_flop | Latch
 
-type t = {
+type t = private {
   name : string;
   family : string;  (** function family, e.g. ["ND2"], shared by a drive ladder *)
   drive_strength : int;
@@ -17,7 +17,17 @@ type t = {
   hold_time : float;
   clock_pin : string option;  (** sequential cells *)
   leakage : float;  (** static leakage power, nW *)
+  pin_array : Pin.t array;
+  (** [pins] as an array: a pin's index is its position in [pins], and
+      netlists address an instance's pins by that index *)
+  pin_arcs : Arc.t array array;
+  (** per pin index: the arcs ending at the pin ([[||]] for inputs) *)
+  pin_related : int array array;
+  (** per pin index, per arc: index of the arc's related input pin, [-1]
+      if the cell has no such input *)
+  clock_index : int;  (** index of [clock_pin]; [-1] if none *)
 }
+(** Built by {!make} only, which derives the indexed fields from [pins]. *)
 
 val make :
   name:string ->
@@ -41,6 +51,9 @@ val data_input_names : t -> string list
 val output_pins : t -> Pin.t list
 
 val find_pin : t -> string -> Pin.t option
+
+val pin_index : t -> string -> int
+(** Index of the named pin in [pin_array].  Raises [Not_found] if absent. *)
 
 val arcs : t -> Arc.t list
 (** All arcs of all output pins. *)

@@ -14,18 +14,15 @@ let validate nl =
         err "net %s has sinks but no driver" n.net_name);
   Netlist.iter_instances nl ~f:(fun inst ->
       let cell = inst.Netlist.cell in
-      List.iter
-        (fun (p : Pin.t) ->
-          let connected =
-            if Pin.is_input p then List.mem_assoc p.name inst.inputs
-            else List.mem_assoc p.name inst.outputs
-          in
-          if not connected then
-            err "instance %s: pin %s of %s unconnected" inst.inst_name p.name cell.Cell.name)
-        cell.pins;
+      Array.iteri
+        (fun p nid ->
+          if nid < 0 then
+            err "instance %s: pin %s of %s unconnected" inst.inst_name cell.pin_array.(p).Pin.name
+              cell.Cell.name)
+        inst.conns;
       match (Cell.is_sequential cell, cell.clock_pin, Netlist.clock nl) with
       | true, Some ck, Some clock_net ->
-        if List.assoc_opt ck inst.inputs <> Some clock_net then
+        if cell.clock_index < 0 || inst.conns.(cell.clock_index) <> clock_net then
           err "instance %s: clock pin %s not on the clock net" inst.inst_name ck
       | true, Some _, None -> err "design has sequential cells but no clock net"
       | true, None, _ -> err "sequential cell %s lacks a clock pin" cell.Cell.name
@@ -37,74 +34,56 @@ let validate_exn nl =
   | Ok () -> ()
   | Error es -> failwith (String.concat "\n" es)
 
-(* Kahn's algorithm.  Edges run from a net's driver to its combinational
-   sinks; sequential sinks take data without constraining order. *)
+(* Kahn's algorithm over flat arrays; the order array doubles as the
+   FIFO queue.  Edges run from a net's driver to its combinational
+   sinks; sequential sinks take data without constraining order.
+   [indegree] is -1 on tombstones. *)
 let topological_order nl =
-  let n_insts =
-    Netlist.fold_instances nl ~init:0 ~f:(fun acc inst -> max acc (inst.Netlist.inst_id + 1))
-  in
-  let indegree = Array.make n_insts 0 in
-  let live = Array.make n_insts false in
-  Netlist.iter_instances nl ~f:(fun inst -> live.(inst.inst_id) <- true);
-  let comb inst_id =
-    match Netlist.instance_opt nl inst_id with
-    | Some inst -> not (Cell.is_sequential inst.cell)
-    | None -> false
-  in
+  let n_slots = Netlist.instance_slots nl in
+  let indegree = Array.make n_slots (-1) in
+  let comb = Array.make n_slots false in
+  Netlist.iter_instances nl ~f:(fun inst ->
+      indegree.(inst.inst_id) <- 0;
+      comb.(inst.inst_id) <- not (Cell.is_sequential inst.Netlist.cell));
   Netlist.iter_nets nl ~f:(fun net ->
-      match net.Netlist.driver with
-      | None -> ()
-      | Some _ ->
+      if net.Netlist.driver <> None then
         List.iter
-          (fun (r : Netlist.pin_ref) -> if comb r.inst then indegree.(r.inst) <- indegree.(r.inst) + 1)
+          (fun (r : Netlist.pin_ref) -> if comb.(r.inst) then indegree.(r.inst) <- indegree.(r.inst) + 1)
           net.sinks);
-  let queue = Queue.create () in
-  for i = 0 to n_insts - 1 do
-    if live.(i) && indegree.(i) = 0 then Queue.add i queue
-  done;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order := id :: !order;
-    incr seen;
-    let inst = Netlist.instance nl id in
-    List.iter
-      (fun (_, nid) ->
+  let order = Array.make (Netlist.instance_count nl) 0 in
+  let tail = ref 0 in
+  let push id = order.(!tail) <- id; incr tail in
+  Array.iteri (fun id d -> if d = 0 then push id) indegree;
+  let head = ref 0 in
+  while !head < !tail do
+    let inst = Netlist.instance nl order.(!head) in
+    incr head;
+    Netlist.iter_outputs inst ~f:(fun _ nid ->
         List.iter
           (fun (r : Netlist.pin_ref) ->
-            if comb r.inst then begin
+            if comb.(r.inst) then begin
               indegree.(r.inst) <- indegree.(r.inst) - 1;
-              if indegree.(r.inst) = 0 then Queue.add r.inst queue
+              if indegree.(r.inst) = 0 then push r.inst
             end)
           (Netlist.net nl nid).sinks)
-      inst.outputs
   done;
-  if !seen <> Netlist.instance_count nl then
-    raise (Combinational_loop (Printf.sprintf "%d instances unreached" (Netlist.instance_count nl - !seen)));
-  Array.of_list (List.rev !order)
+  if !tail <> Array.length order then
+    raise (Combinational_loop (Printf.sprintf "%d instances unreached" (Array.length order - !tail)));
+  order
 
 let logic_depths nl =
   let order = topological_order nl in
-  let depth = Hashtbl.create 256 in
+  let depth = Array.make (Netlist.instance_slots nl) 0 in
   Array.iter
     (fun id ->
       let inst = Netlist.instance nl id in
-      let d =
-        if Cell.is_sequential inst.Netlist.cell then 0
-        else begin
-          let input_depth =
-            List.fold_left
-              (fun acc (_, nid) ->
-                match (Netlist.net nl nid).driver with
-                | None -> acc
-                | Some (r : Netlist.pin_ref) ->
-                  max acc (Option.value (Hashtbl.find_opt depth r.inst) ~default:0))
-              0 inst.inputs
-          in
-          input_depth + 1
-        end
-      in
-      Hashtbl.replace depth id d)
+      if not (Cell.is_sequential inst.Netlist.cell) then begin
+        let d = ref 0 in
+        Netlist.iter_inputs inst ~f:(fun _ nid ->
+            match (Netlist.net nl nid).driver with
+            | None -> ()
+            | Some r -> d := max !d depth.(r.inst));
+        depth.(id) <- !d + 1
+      end)
     order;
-  Array.to_list (Array.map (fun id -> (id, Hashtbl.find depth id)) order)
+  Array.to_list (Array.map (fun id -> (id, depth.(id))) order)

@@ -4,12 +4,16 @@
     resizing swaps an instance's library cell within its family, buffering
     inserts instances and rewires sinks, decomposition replaces one
     instance with several.  Instances and nets are addressed by dense
-    integer ids; removed instances leave tombstones so ids stay stable. *)
+    integer ids; removed instances leave tombstones so ids stay stable.
+    Pins are interned: a pin is its index in the cell's
+    {!Vartune_liberty.Cell.t.pin_array}, and names appear only at the
+    boundaries ({!add_instance}, {!pin_net}, {!connections}, snapshots). *)
 
 type net_id = int
 type inst_id = int
 
-type pin_ref = { inst : inst_id; pin : string }
+type pin_ref = { inst : inst_id; pin : int }
+(** [pin] indexes the instance's cell pins. *)
 
 type net = {
   net_id : net_id;
@@ -22,8 +26,7 @@ type instance = {
   inst_id : inst_id;
   inst_name : string;
   mutable cell : Vartune_liberty.Cell.t;
-  mutable inputs : (string * net_id) list;  (** pin name → driven-by net *)
-  mutable outputs : (string * net_id) list;  (** pin name → driven net *)
+  conns : net_id array;  (** per cell pin index: the connected net, [-1] if none *)
 }
 
 type t
@@ -42,8 +45,10 @@ val add_instance :
   inputs:(string * net_id) list ->
   outputs:(string * net_id) list ->
   inst_id
-(** Creates an instance and hooks its pins onto the nets.  Raises
-    [Invalid_argument] if an output net already has a driver. *)
+(** Creates an instance and hooks its pins onto the nets, converting the
+    pin names to indices once.  Raises [Invalid_argument] if a pin is
+    unknown, listed twice or on the wrong side, or if an output net
+    already has a driver. *)
 
 val remove_instance : t -> inst_id -> unit
 (** Detaches the instance from all nets and tombstones it. *)
@@ -53,11 +58,26 @@ val instance : t -> inst_id -> instance
 
 val instance_opt : t -> inst_id -> instance option
 
+val instance_slots : t -> int
+(** Instance ids ever allocated, tombstones included: every id is below it. *)
+
+val pin_net : instance -> string -> net_id
+(** The net on the named pin.  Raises [Not_found] if the cell has no such
+    pin or it is unconnected. *)
+
+val connections : instance -> (string * net_id) list * (string * net_id) list
+(** Connected (input, output) pins by name, in pin order. *)
+
+val iter_inputs : instance -> f:(int -> net_id -> unit) -> unit
+val iter_outputs : instance -> f:(int -> net_id -> unit) -> unit
+(** Connected input (clock included) or output pins in pin order, with their nets. *)
+
 val set_cell : t -> inst_id -> Vartune_liberty.Cell.t -> unit
 (** Swaps the library cell of an instance (resizing).  The new cell must
-    expose the pin names the instance uses. *)
+    have the same pins (names and directions) at the same indices, as the
+    drive strengths of one family do; raises [Invalid_argument] otherwise. *)
 
-val rewire_input : t -> inst:inst_id -> pin:string -> net_id -> unit
+val rewire_input : t -> inst:inst_id -> pin:int -> net_id -> unit
 (** Moves one input pin of an instance onto a different net. *)
 
 val iter_instances : t -> f:(instance -> unit) -> unit
@@ -96,8 +116,8 @@ val fresh_name : t -> prefix:string -> string
 
 type repr = {
   repr_name : string;
-  repr_nets : (string * pin_ref option * pin_ref list) array;
-      (** per net: name, driver, sinks in live order *)
+  repr_nets : (string * (inst_id * string) option * (inst_id * string) list) array;
+      (** per net: name, driver, sinks in live order; pins by name *)
   repr_instances :
     (string * Vartune_liberty.Cell.t * (string * net_id) list * (string * net_id) list)
     option

@@ -45,10 +45,9 @@ let to_string nl =
       if (not (Hashtbl.mem port_set nid)) && (net.Netlist.driver <> None || net.sinks <> [])
       then add "  wire %s;\n" (net_name nid));
   Netlist.iter_instances nl ~f:(fun inst ->
+      let inputs, outputs = Netlist.connections inst in
       let conns =
-        List.map
-          (fun (pin, nid) -> Printf.sprintf ".%s(%s)" pin (net_name nid))
-          (inst.Netlist.inputs @ inst.Netlist.outputs)
+        List.map (fun (pin, nid) -> Printf.sprintf ".%s(%s)" pin (net_name nid)) (inputs @ outputs)
       in
       add "  %s %s (%s);\n" inst.Netlist.cell.Cell.name
         (mangle inst.Netlist.inst_name)

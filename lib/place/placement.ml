@@ -60,7 +60,7 @@ let place ?(utilization = 0.7) ?(passes = 4) nl =
     let inst = Netlist.instance nl inst_id in
     let clock = Netlist.clock nl in
     let acc = ref [] in
-    let visit (_, nid) =
+    let visit _ nid =
       if Some nid <> clock then begin
         let net = Netlist.net nl nid in
         (match net.Netlist.driver with
@@ -71,8 +71,8 @@ let place ?(utilization = 0.7) ?(passes = 4) nl =
           net.Netlist.sinks
       end
     in
-    List.iter visit inst.Netlist.inputs;
-    List.iter visit inst.Netlist.outputs;
+    Netlist.iter_inputs inst ~f:visit;
+    Netlist.iter_outputs inst ~f:visit;
     !acc
   in
   for _ = 1 to passes do

@@ -1,6 +1,7 @@
 module Netlist = Vartune_netlist.Netlist
 module Cell = Vartune_liberty.Cell
 module Arc = Vartune_liberty.Arc
+module Pin = Vartune_liberty.Pin
 
 type step = {
   inst : Netlist.inst_id;
@@ -20,36 +21,40 @@ type t = {
   slack : float;
 }
 
+(* The net on the input pin named [name], -1 if none.  By name, not by
+   the arc's pin index: the sizer backtraces while it edits, and an arc
+   timed on a since-replaced cell must resolve on the current one. *)
+let input_net (inst : Netlist.instance) name =
+  match Cell.pin_index inst.cell name with
+  | p when Pin.is_input inst.cell.pin_array.(p) -> inst.conns.(p)
+  | _ | (exception Not_found) -> -1
+
 let extract timing nl (ep : Timing.endpoint_timing) =
   let start_net =
     match ep.endpoint with
-    | Timing.Reg_data { inst; pin } -> List.assoc pin (Netlist.instance nl inst).inputs
+    | Timing.Reg_data { inst; pin } -> Netlist.pin_net (Netlist.instance nl inst) pin
     | Timing.Primary_output nid -> nid
   in
   (* Walk drivers backwards, collecting steps in capture-to-launch order. *)
   let rec walk nid acc =
     match (Netlist.net nl nid).driver with
     | None -> acc
-    | Some { inst = inst_id; pin = out_pin } -> begin
+    | Some { inst = inst_id; pin } -> begin
       let inst = Netlist.instance nl inst_id in
-      match Timing.critical_input timing inst_id ~out_pin with
+      match Timing.critical_arc timing nid with
       | None -> acc (* tie cell or arc-less driver: path starts here *)
-      | Some (in_pin, arc, delay) ->
+      | Some (arc, delay) ->
         let sequential = Cell.is_sequential inst.cell in
+        let in_net = input_net inst arc.Arc.related_pin in
         let input_slew =
           if sequential then (Timing.config timing).Timing.clock_slew
-          else
-            match List.assoc_opt in_pin inst.inputs with
-            | Some in_net -> Timing.net_slew timing in_net
-            | None -> (Timing.config timing).Timing.input_slew
+          else if in_net >= 0 then Timing.net_slew timing in_net
+          else (Timing.config timing).Timing.input_slew
         in
         let load = Timing.net_load timing nid in
+        let out_pin = inst.cell.pin_array.(pin).Pin.name in
         let step = { inst = inst_id; cell = inst.cell; out_pin; arc; input_slew; load; delay } in
-        if sequential then step :: acc
-        else
-          match List.assoc_opt in_pin inst.inputs with
-          | Some in_net -> walk in_net (step :: acc)
-          | None -> step :: acc
+        if sequential || in_net < 0 then step :: acc else walk in_net (step :: acc)
     end
   in
   {

@@ -1,6 +1,5 @@
 module Netlist = Vartune_netlist.Netlist
 module Cell = Vartune_liberty.Cell
-module Pin = Vartune_liberty.Pin
 module Arc = Vartune_liberty.Arc
 
 type report = {
@@ -31,27 +30,23 @@ let estimate ?(activity = 0.15) ?(supply = 1.1) timing nl =
   let leakage = ref 0.0 in
   Netlist.iter_instances nl ~f:(fun inst ->
       leakage := !leakage +. (inst.Netlist.cell.Cell.leakage *. 1e-6);
-      List.iter
-        (fun (pin_name, out_net) ->
-          match Cell.find_pin inst.Netlist.cell pin_name with
-          | None | Some { Pin.direction = Pin.Input; _ } -> ()
-          | Some out_pin ->
-            let load = Timing.net_load timing out_net in
-            List.iter
-              (fun (arc : Arc.t) ->
-                let slew =
-                  match List.assoc_opt arc.Arc.related_pin inst.Netlist.inputs with
-                  | Some in_net -> Timing.net_slew timing in_net
-                  | None -> (Timing.config timing).Timing.input_slew
-                in
-                (* energy is charged to the triggering arc; average over
-                   the arcs so multi-input cells are not over-counted *)
-                let share = 1.0 /. float_of_int (max 1 (List.length out_pin.Pin.arcs)) in
-                internal :=
-                  !internal
-                  +. (activity *. share *. Arc.energy arc ~slew ~load *. frequency_ghz *. 1e-3))
-              out_pin.Pin.arcs)
-        inst.Netlist.outputs);
+      Netlist.iter_outputs inst ~f:(fun p out_net ->
+          let load = Timing.net_load timing out_net in
+          let arcs = inst.Netlist.cell.pin_arcs.(p) in
+          (* energy is charged to the triggering arc; average over the
+             arcs so multi-input cells are not over-counted *)
+          let share = 1.0 /. float_of_int (max 1 (Array.length arcs)) in
+          Array.iteri
+            (fun ai (arc : Arc.t) ->
+              let slew =
+                match inst.cell.pin_related.(p).(ai) with
+                | rel when rel >= 0 && inst.conns.(rel) >= 0 -> Timing.net_slew timing inst.conns.(rel)
+                | _ -> (Timing.config timing).Timing.input_slew
+              in
+              internal :=
+                !internal
+                +. (activity *. share *. Arc.energy arc ~slew ~load *. frequency_ghz *. 1e-3))
+            arcs));
   let switching_mw = !switching and internal_mw = !internal and leakage_mw = !leakage in
   {
     switching_mw;

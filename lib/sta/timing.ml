@@ -44,17 +44,17 @@ type endpoint_timing = {
 (* ------------------------------------------------------------------ *)
 
 (* One evaluation unit per driven output pin, stored in topological
-   order (the level schedule).  Arcs and their resolved input nets are
-   flattened into arrays once at build time so the propagation loops
-   never walk association lists or pin records.  The [mutable] fields
-   are the ones a cell swap (Netlist.set_cell) refreshes in place. *)
+   order (the level schedule); an instance's units are contiguous.  An
+   eval's arcs are its cell's own [pin_arcs] array, shared rather than
+   copied; arc [ai] of an eval owns the flat arc slot [e_slot + ai].
+   [e_arcs] is the field a cell swap (Netlist.set_cell) refreshes. *)
 type eval = {
   e_inst : Netlist.inst_id;
-  e_out_pin : string;
+  e_pin : int;  (* output pin index *)
   e_out_net : int;
   e_seq : bool;
+  e_slot : int;
   mutable e_arcs : Arc.t array;
-  mutable e_in_nets : int array;  (* per arc: input net id, -1 = unconnected *)
 }
 
 (* Endpoint slots are structural: which (instance, pin, net) triples
@@ -64,16 +64,22 @@ type ep_slot =
   | Sreg of { inst : Netlist.inst_id; pin : string; net : int }
   | Spo of int
 
+(* The readers of net [n] are entries [adj_off.(n)] to [adj_off.(n+1) - 1]
+   (compressed sparse rows) of [fanout] — the reading eval, for the
+   forward cone — and of [consumers] — its arc slot, whose delay enters
+   the net's required time.  Sequential evals read nothing forward. *)
 type graph = {
   nl : Netlist.t;
   n_nets : int;
   n_insts : int;  (* live instances at build time, for edit detection *)
   evals : eval array;  (* topological (level) order *)
   eval_of_net : int array;  (* net -> driving eval index, -1 if undriven *)
-  fanout : int array array;  (* net -> eval indices reading it forward *)
-  consumers : (int * int) array array;
-      (* net -> (eval, arc) pairs contributing required times *)
-  inst_evals : (Netlist.inst_id, int list) Hashtbl.t;
+  inst_first : int array;  (* instance -> index of its first eval *)
+  slot_in_net : int array;  (* arc slot -> input net, -1 = unconnected *)
+  adj_off : int array;
+  fanout : int array;
+  consumers : int array;
+  is_po : bool array;
   ep_slots : ep_slot array;
 }
 
@@ -92,6 +98,9 @@ type t = {
   crit_idx : int array;  (* net -> winning arc index into driver's e_arcs *)
   crit_delay : float array;  (* net -> winning arc's delay *)
   ep_seed : float array;  (* net -> tightest endpoint required, or inf *)
+  arc_delay : float array;
+      (* arc slot -> delay at the slot's current (input slew, load), as
+         the forward pass last computed it; the backward pass reads it *)
   (* Arc.eval_into scratch (delay, min_delay, transition, spare).  The
      analysis is single-domain — the pool parallelises across analyses,
      never inside one — so one buffer per graph is race-free and keeps
@@ -117,23 +126,10 @@ let hold_endpoints t = t.hold_eps
 let worst_hold_slack t =
   List.fold_left (fun acc ep -> Float.min acc ep.slack) infinity t.hold_eps
 
-let critical_input t inst ~out_pin =
-  match Netlist.instance_opt t.graph.nl inst with
-  | None -> None
-  | Some i -> (
-    match List.assoc_opt out_pin i.Netlist.outputs with
-    | None -> None
-    | Some nid ->
-      if not (in_range t nid) then None
-      else begin
-        let ai = t.crit_idx.(nid) in
-        let k = t.graph.eval_of_net.(nid) in
-        if ai < 0 || k < 0 then None
-        else begin
-          let arc = t.graph.evals.(k).e_arcs.(ai) in
-          Some (arc.Arc.related_pin, arc, t.crit_delay.(nid))
-        end
-      end)
+let critical_arc t nid =
+  let k = if in_range t nid then t.graph.eval_of_net.(nid) else -1 in
+  if k < 0 || t.crit_idx.(nid) < 0 then None
+  else Some (t.graph.evals.(k).e_arcs.(t.crit_idx.(nid)), t.crit_delay.(nid))
 
 let endpoints t = t.eps
 
@@ -141,69 +137,76 @@ let endpoints t = t.eps
 (* Graph construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let in_net (inst : Netlist.instance) rel = if rel < 0 then -1 else inst.conns.(rel)
+
+(* Linear passes over the level schedule: size the eval and slot
+   arrays, fill them while counting each net's readers, then place the
+   readers by prefix sums. *)
 let build_graph nl =
   let order = Check.topological_order nl in
   let n_nets = Netlist.net_count nl in
-  let inst_evals = Hashtbl.create 256 in
-  let evals_rev = ref [] in
-  let n_evals = ref 0 in
+  let n_evals = ref 0 and n_slots = ref 0 in
   Array.iter
-    (fun inst_id ->
-      let inst = Netlist.instance nl inst_id in
+    (fun id ->
+      let inst = Netlist.instance nl id in
+      Netlist.iter_outputs inst ~f:(fun p _ ->
+          incr n_evals;
+          n_slots := !n_slots + Array.length inst.cell.pin_arcs.(p)))
+    order;
+  let none = { e_inst = -1; e_pin = 0; e_out_net = 0; e_seq = false; e_slot = 0; e_arcs = [||] } in
+  let evals = Array.make !n_evals none in
+  let eval_of_net = Array.make n_nets (-1) in
+  let inst_first = Array.make (Netlist.instance_slots nl) !n_evals in
+  let slot_in_net = Array.make !n_slots (-1) in
+  let adj_off = Array.make (n_nets + 1) 0 in
+  let k = ref 0 and slot = ref 0 in
+  Array.iter
+    (fun id ->
+      let inst = Netlist.instance nl id in
       let cell = inst.Netlist.cell in
       let seq = Cell.is_sequential cell in
-      List.iter
-        (fun (out_pin_name, out_net) ->
-          match Cell.find_pin cell out_pin_name with
-          | None | Some { Pin.direction = Pin.Input; _ } -> ()
-          | Some out_pin ->
-            let arcs = Array.of_list out_pin.Pin.arcs in
-            let in_nets =
-              Array.map
-                (fun (arc : Arc.t) ->
-                  match List.assoc_opt arc.related_pin inst.inputs with
-                  | Some n -> n
-                  | None -> -1)
-                arcs
-            in
-            let k = !n_evals in
-            incr n_evals;
-            evals_rev :=
-              { e_inst = inst_id; e_out_pin = out_pin_name; e_out_net = out_net;
-                e_seq = seq; e_arcs = arcs; e_in_nets = in_nets }
-              :: !evals_rev;
-            Hashtbl.replace inst_evals inst_id
-              (k :: (try Hashtbl.find inst_evals inst_id with Not_found -> [])))
-        inst.outputs)
+      inst_first.(id) <- !k;
+      Netlist.iter_outputs inst ~f:(fun p out ->
+          let e_arcs = cell.pin_arcs.(p) in
+          evals.(!k) <- { e_inst = id; e_pin = p; e_out_net = out; e_seq = seq; e_slot = !slot; e_arcs };
+          eval_of_net.(out) <- !k;
+          Array.iteri
+            (fun ai rel ->
+              let innet = in_net inst rel in
+              slot_in_net.(!slot + ai) <- innet;
+              if innet >= 0 && not seq then adj_off.(innet + 1) <- adj_off.(innet + 1) + 1)
+            cell.pin_related.(p);
+          slot := !slot + Array.length e_arcs;
+          incr k))
     order;
-  let evals = Array.of_list (List.rev !evals_rev) in
-  let eval_of_net = Array.make n_nets (-1) in
-  let fanout_rev = Array.make n_nets [] in
-  let consumers_rev = Array.make n_nets [] in
+  for n = 1 to n_nets do
+    adj_off.(n) <- adj_off.(n) + adj_off.(n - 1)
+  done;
+  let next = Array.sub adj_off 0 n_nets in
+  let fanout = Array.make adj_off.(n_nets) 0 and consumers = Array.make adj_off.(n_nets) 0 in
   Array.iteri
     (fun k e ->
-      eval_of_net.(e.e_out_net) <- k;
       if not e.e_seq then
-        Array.iteri
-          (fun ai innet ->
-            if innet >= 0 then begin
-              fanout_rev.(innet) <- k :: fanout_rev.(innet);
-              consumers_rev.(innet) <- (k, ai) :: consumers_rev.(innet)
-            end)
-          e.e_in_nets)
+        for s = e.e_slot to e.e_slot + Array.length e.e_arcs - 1 do
+          let innet = slot_in_net.(s) in
+          if innet >= 0 then begin
+            fanout.(next.(innet)) <- k;
+            consumers.(next.(innet)) <- s;
+            next.(innet) <- next.(innet) + 1
+          end
+        done)
     evals;
-  let fanout = Array.map (fun l -> Array.of_list (List.rev l)) fanout_rev in
-  let consumers = Array.map (fun l -> Array.of_list (List.rev l)) consumers_rev in
+  let is_po = Array.make n_nets false in
+  List.iter (fun nid -> is_po.(nid) <- true) (Netlist.primary_outputs nl);
   (* endpoint slots in the order endpoint lists are reported: register
      data pins in instance order, then primary outputs *)
   let slots = ref [] in
   Netlist.iter_instances nl ~f:(fun inst ->
-      if Cell.is_sequential inst.Netlist.cell then
-        List.iter
-          (fun (pin_name, nid) ->
-            if Some pin_name <> inst.cell.Cell.clock_pin then
-              slots := Sreg { inst = inst.inst_id; pin = pin_name; net = nid } :: !slots)
-          inst.inputs);
+      let cell = inst.Netlist.cell in
+      if Cell.is_sequential cell then
+        Netlist.iter_inputs inst ~f:(fun p net ->
+            if p <> cell.clock_index then
+              slots := Sreg { inst = inst.inst_id; pin = cell.pin_array.(p).Pin.name; net } :: !slots));
   List.iter (fun nid -> slots := Spo nid :: !slots) (Netlist.primary_outputs nl);
   {
     nl;
@@ -211,11 +214,22 @@ let build_graph nl =
     n_insts = Netlist.instance_count nl;
     evals;
     eval_of_net;
+    inst_first;
+    slot_in_net;
+    adj_off;
     fanout;
     consumers;
-    inst_evals;
+    is_po;
     ep_slots = Array.of_list (List.rev !slots);
   }
+
+(* The evals of one instance: a contiguous run from [inst_first]. *)
+let iter_evals g id f =
+  let k = ref g.inst_first.(id) in
+  while !k < Array.length g.evals && g.evals.(!k).e_inst = id do
+    f !k;
+    incr k
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Per-net load                                                        *)
@@ -224,15 +238,12 @@ let build_graph nl =
 (* Shared by the full analysis and the incremental load refresh so a
    recomputed load is bit-identical to a fresh one: the sink fold runs
    in the net's sink-list order either way. *)
-let compute_net_load cfg nl ~is_po (net : Netlist.net) =
+let compute_net_load cfg g (net : Netlist.net) =
   let nid = net.Netlist.net_id in
   let sink_caps =
     List.fold_left
       (fun acc (r : Netlist.pin_ref) ->
-        let inst = Netlist.instance nl r.inst in
-        match Cell.find_pin inst.cell r.pin with
-        | Some p -> acc +. p.Pin.capacitance
-        | None -> acc)
+        acc +. (Netlist.instance g.nl r.inst).cell.pin_array.(r.pin).Pin.capacitance)
       0.0 net.sinks
   in
   let n_sinks = List.length net.sinks in
@@ -243,13 +254,8 @@ let compute_net_load cfg nl ~is_po (net : Netlist.net) =
       | Some f -> f nid
       | None -> cfg.wire_cap_base +. (cfg.wire_cap_per_sink *. float_of_int n_sinks)
   in
-  let external_load = if is_po nid then cfg.output_load else 0.0 in
+  let external_load = if g.is_po.(nid) then cfg.output_load else 0.0 in
   sink_caps +. wire +. external_load
-
-let po_table nl =
-  let po = Hashtbl.create 16 in
-  List.iter (fun nid -> Hashtbl.replace po nid ()) (Netlist.primary_outputs nl);
-  fun nid -> Hashtbl.mem po nid
 
 (* ------------------------------------------------------------------ *)
 (* Node evaluation (shared by full run and retime)                     *)
@@ -263,10 +269,12 @@ let c_required_evals = Obs.Counter.make "sta.required_evals"
 (* Forward evaluation of one node: fused arrival/slew (late) and
    min-arrival (hold) propagation over the node's arcs.  Pure in the
    upstream arrays, so re-evaluating with unchanged inputs reproduces
-   the stored values bit-for-bit — the invariant [retime] rests on. *)
+   the stored values bit-for-bit — the invariant [retime] rests on.
+   Each arc's delay is also left in [arc_delay] for the backward pass. *)
 let eval_forward t k =
   Obs.Counter.incr c_node_evals;
-  let e = Array.unsafe_get t.graph.evals k in
+  let g = t.graph in
+  let e = Array.unsafe_get g.evals k in
   let out = e.e_out_net in
   let arcs = e.e_arcs in
   let n = Array.length arcs in
@@ -286,22 +294,24 @@ let eval_forward t k =
     let mina = ref infinity in
     for ai = 0 to n - 1 do
       let arc = Array.unsafe_get arcs ai in
-      let innet = Array.unsafe_get e.e_in_nets ai in
-      let in_arrival, in_slew, in_min =
-        if e.e_seq then (0.0, t.cfg.clock_slew, 0.0)
-        else if innet < 0 then (0.0, t.cfg.input_slew, infinity)
-        else
-          ( Array.unsafe_get t.arrivals innet,
-            Array.unsafe_get t.slews innet,
-            Array.unsafe_get t.min_arrivals innet )
+      let innet = Array.unsafe_get g.slot_in_net (e.e_slot + ai) in
+      let in_slew =
+        if e.e_seq then t.cfg.clock_slew
+        else if innet < 0 then t.cfg.input_slew
+        else Array.unsafe_get t.slews innet
+      in
+      let in_arrival = if e.e_seq || innet < 0 then 0.0 else Array.unsafe_get t.arrivals innet in
+      let in_min =
+        if e.e_seq then 0.0 else if innet < 0 then infinity else Array.unsafe_get t.min_arrivals innet
       in
       (* One fused segment search yields delay, min_delay and
          transition together (the arc's tables share axes); each value
          is bit-identical to the scalar Arc.delay/min_delay/transition
-         queries this loop used to make. *)
+         queries. *)
       Arc.eval_into arc ~slew:in_slew ~load ~out:t.arc_out;
       let delay = Array.unsafe_get t.arc_out 0 in
       let out_slew = Array.unsafe_get t.arc_out 2 in
+      Array.unsafe_set t.arc_delay (e.e_slot + ai) delay;
       if in_arrival +. delay > !best then begin
         best := in_arrival +. delay;
         best_idx := ai;
@@ -322,18 +332,19 @@ let eval_forward t k =
 
 (* Required time of one net, recomputed from scratch: the tightest
    endpoint seed on the net, tightened by every consuming arc.  Also
-   pure in (ep_seed, slews, loads, downstream requireds). *)
+   pure in (ep_seed, downstream requireds, arc delays).  A consumer's
+   delay is the one its forward evaluation left in [arc_delay], taken at
+   this net's slew and the consumer's load; it is current because every
+   eval whose arcs, input slew or load changed is re-evaluated forward
+   before requireds are recomputed. *)
 let required_of_net t nid =
   Obs.Counter.incr c_required_evals;
-  let cons = t.graph.consumers.(nid) in
+  let g = t.graph in
   let r = ref t.ep_seed.(nid) in
-  let slew = t.slews.(nid) in
-  for c = 0 to Array.length cons - 1 do
-    let k, ai = Array.unsafe_get cons c in
-    let e = Array.unsafe_get t.graph.evals k in
-    let arc = Array.unsafe_get e.e_arcs ai in
-    let delay = Arc.delay arc ~slew ~load:t.loads.(e.e_out_net) in
-    r := Float.min !r (t.requireds.(e.e_out_net) -. delay)
+  for c = g.adj_off.(nid) to g.adj_off.(nid + 1) - 1 do
+    let out = (Array.unsafe_get g.evals (Array.unsafe_get g.fanout c)).e_out_net in
+    let delay = Array.unsafe_get t.arc_delay (Array.unsafe_get g.consumers c) in
+    r := Float.min !r (t.requireds.(out) -. delay)
   done;
   !r
 
@@ -396,9 +407,8 @@ let rebuild_endpoint_lists t =
 
 let analyse_full t =
   let g = t.graph in
-  let is_po = po_table g.nl in
   Netlist.iter_nets g.nl ~f:(fun net ->
-      t.loads.(net.Netlist.net_id) <- compute_net_load t.cfg g.nl ~is_po net);
+      t.loads.(net.Netlist.net_id) <- compute_net_load t.cfg g net);
   Array.fill t.arrivals 0 g.n_nets 0.0;
   Array.fill t.slews 0 g.n_nets t.cfg.input_slew;
   Array.fill t.min_arrivals 0 g.n_nets infinity;
@@ -446,6 +456,7 @@ let run cfg nl =
       crit_idx = Array.make n (-1);
       crit_delay = Array.make n 0.0;
       ep_seed = Array.make n infinity;
+      arc_delay = Array.make (Array.length graph.slot_in_net) 0.0;
       arc_out = Array.make 4 0.0;
       eps = [];
       hold_eps = [];
@@ -459,30 +470,34 @@ let run cfg nl =
 (* ------------------------------------------------------------------ *)
 
 (* A changed instance is refreshable in place when its footprint still
-   matches the graph: same pins, same sequential kind, and arcs whose
-   related-pin sequence lines up with the consumer edges built from the
-   old cell.  Family ladders satisfy this; anything else falls back to
-   a full rebuild. *)
-let refreshable g inst_id =
-  match Netlist.instance_opt g.nl inst_id with
-  | None -> false
-  | Some inst ->
+   matches the graph: same sequential kind, and per output the same
+   number of arcs reading the same input nets as the edges built from
+   the old cell.  Family ladders satisfy this; anything else falls back
+   to a full rebuild. *)
+let refreshable g id =
+  match Netlist.instance_opt g.nl id with
+  | Some inst when id < Array.length g.inst_first ->
     let cell = inst.Netlist.cell in
-    List.for_all
-      (fun k ->
+    let ok = ref true in
+    iter_evals g id (fun k ->
         let e = g.evals.(k) in
-        e.e_seq = Cell.is_sequential cell
-        &&
-        match Cell.find_pin cell e.e_out_pin with
-        | None | Some { Pin.direction = Pin.Input; _ } -> false
-        | Some out_pin ->
-          let arcs = out_pin.Pin.arcs in
-          List.length arcs = Array.length e.e_arcs
-          && List.for_all2
-               (fun (a : Arc.t) (b : Arc.t) -> a.related_pin = b.related_pin)
-               arcs
-               (Array.to_list e.e_arcs))
-      (try Hashtbl.find g.inst_evals inst_id with Not_found -> [])
+        let related = cell.pin_related.(e.e_pin) in
+        let rec same_nets ai =
+          ai = Array.length related
+          || (in_net inst related.(ai) = g.slot_in_net.(e.e_slot + ai) && same_nets (ai + 1))
+        in
+        ok :=
+          !ok && e.e_seq = Cell.is_sequential cell
+          && Array.length related = Array.length e.e_arcs
+          && same_nets 0);
+    !ok
+  | Some _ | None -> false
+
+(* mark the input nets of eval [e] for required-time recomputation *)
+let mark_inputs g breq e =
+  for s = e.e_slot to e.e_slot + Array.length e.e_arcs - 1 do
+    if g.slot_in_net.(s) >= 0 then breq.(g.slot_in_net.(s)) <- true
+  done
 
 let bits = Int64.bits_of_float
 
@@ -502,53 +517,34 @@ let retime t ~changed =
     let nevals = Array.length g.evals in
     let fwd_dirty = Array.make nevals false in
     let breq = Array.make g.n_nets false in
-    let is_po = po_table nl in
-    let seen = Hashtbl.create 16 in
+    let seen = Array.make (Array.length g.inst_first) false in
     List.iter
       (fun inst_id ->
-        if not (Hashtbl.mem seen inst_id) then begin
-          Hashtbl.replace seen inst_id ();
+        if not seen.(inst_id) then begin
+          seen.(inst_id) <- true;
           let inst = Netlist.instance nl inst_id in
-          let cell = inst.Netlist.cell in
-          (* refresh the instance's evaluation units from the new cell *)
-          List.iter
-            (fun k ->
+          (* refresh the instance's evaluation units from the new cell;
+             its new arcs change this node's required contributions *)
+          iter_evals g inst_id (fun k ->
               let e = g.evals.(k) in
-              (match Cell.find_pin cell e.e_out_pin with
-              | Some out_pin when out_pin.Pin.direction <> Pin.Input ->
-                e.e_arcs <- Array.of_list out_pin.Pin.arcs;
-                e.e_in_nets <-
-                  Array.map
-                    (fun (arc : Arc.t) ->
-                      match List.assoc_opt arc.Arc.related_pin inst.inputs with
-                      | Some n -> n
-                      | None -> -1)
-                    e.e_arcs
-              | _ -> assert false (* excluded by [refreshable] *));
+              e.e_arcs <- inst.Netlist.cell.pin_arcs.(e.e_pin);
               fwd_dirty.(k) <- true;
-              (* new arcs change this node's required contributions *)
-              Array.iter (fun innet -> if innet >= 0 then breq.(innet) <- true) e.e_in_nets)
-            (try Hashtbl.find g.inst_evals inst_id with Not_found -> []);
+              mark_inputs g breq e);
           (* the new cell's input pin capacitances change the loads of
              the nets feeding this instance *)
-          List.iter
-            (fun (_, nid) ->
+          Netlist.iter_inputs inst ~f:(fun _ nid ->
               let old = t.loads.(nid) in
-              let fresh = compute_net_load t.cfg nl ~is_po (Netlist.net nl nid) in
+              let fresh = compute_net_load t.cfg g (Netlist.net nl nid) in
               if bits fresh <> bits old then begin
                 t.loads.(nid) <- fresh;
-                (match g.eval_of_net.(nid) with
+                match g.eval_of_net.(nid) with
                 | -1 -> ()
                 | k ->
                   fwd_dirty.(k) <- true;
                   (* a load change shifts the driver's arc delays, and
                      with them its required contributions upstream *)
-                  if not g.evals.(k).e_seq then
-                    Array.iter
-                      (fun innet -> if innet >= 0 then breq.(innet) <- true)
-                      g.evals.(k).e_in_nets)
+                  if not g.evals.(k).e_seq then mark_inputs g breq g.evals.(k)
               end)
-            inst.inputs
         end)
       changed;
     (* forward cone: sweep the level schedule, re-evaluating dirty
@@ -566,7 +562,10 @@ let retime t ~changed =
           slew_changed
           || bits oa <> bits t.arrivals.(out)
           || bits om <> bits t.min_arrivals.(out)
-        then Array.iter (fun k' -> fwd_dirty.(k') <- true) g.fanout.(out)
+        then
+          for c = g.adj_off.(out) to g.adj_off.(out + 1) - 1 do
+            fwd_dirty.(g.fanout.(c)) <- true
+          done
       end
     done;
     (* required-time fan-in: endpoint seeds that moved (a sequential
@@ -583,8 +582,7 @@ let retime t ~changed =
         let old = t.requireds.(out) in
         let fresh = required_of_net t out in
         t.requireds.(out) <- fresh;
-        if bits old <> bits fresh && not e.e_seq then
-          Array.iter (fun innet -> if innet >= 0 then breq.(innet) <- true) e.e_in_nets
+        if bits old <> bits fresh && not e.e_seq then mark_inputs g breq e
       end
     done;
     for nid = 0 to g.n_nets - 1 do

@@ -8,8 +8,9 @@
 
     Internally the analysis runs over a levelized timing graph built once
     per netlist: one evaluation unit per driven output pin in topological
-    order, with arcs and resolved input nets flattened into arrays and
-    every per-net quantity held in a flat float array.  {!run} builds the
+    order, with arcs shared from the cells, resolved input nets and
+    net readers in flat integer arrays, and every per-net quantity held
+    in a flat float array.  {!run} builds the
     graph and performs a full analysis; {!retime} re-propagates only the
     cone affected by a set of cell swaps, bit-identically to a fresh
     {!run}. *)
@@ -79,13 +80,9 @@ val net_required : t -> Vartune_netlist.Netlist.net_id -> float
 val net_slack : t -> Vartune_netlist.Netlist.net_id -> float
 (** [net_required - net_arrival]. *)
 
-val critical_input :
-  t ->
-  Vartune_netlist.Netlist.inst_id ->
-  out_pin:string ->
-  (string * Vartune_liberty.Arc.t * float) option
-(** The (input pin, arc, delay) that set the output's arrival, if the
-    instance has timing arcs. *)
+val critical_arc : t -> Vartune_netlist.Netlist.net_id -> (Vartune_liberty.Arc.t * float) option
+(** The arc (and its delay) that set the net's arrival, if its driver has
+    timing arcs.  The arc's related pin names the winning input. *)
 
 val endpoints : t -> endpoint_timing list
 val worst_slack : t -> float

@@ -375,14 +375,14 @@ let r_paths r =
 (* Netlist + synthesis result                                          *)
 (* ------------------------------------------------------------------ *)
 
-let w_pin_ref b (p : Netlist.pin_ref) =
-  w_int b p.Netlist.inst;
-  w_string b p.Netlist.pin
+let w_pin_ref b (inst, pin) =
+  w_int b inst;
+  w_string b pin
 
 let r_pin_ref r =
   let inst = r_int r in
   let pin = r_string r in
-  { Netlist.inst; pin }
+  (inst, pin)
 
 let w_port b (pin, nid) =
   w_string b pin;

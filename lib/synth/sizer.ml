@@ -49,14 +49,11 @@ let refresh st timing =
     Timing.retime timing ~changed
   end
 
-let worst_input_slew timing nl (inst : Netlist.instance) =
-  ignore nl;
-  let clock_pin = inst.cell.Cell.clock_pin in
-  List.fold_left
-    (fun acc (pin, nid) ->
-      if Some pin = clock_pin then acc else Float.max acc (Timing.net_slew timing nid))
-    (Timing.config timing).Timing.input_slew
-    inst.inputs
+let worst_input_slew timing (inst : Netlist.instance) =
+  let acc = ref (Timing.config timing).Timing.input_slew in
+  Netlist.iter_inputs inst ~f:(fun p nid ->
+      if p <> inst.cell.clock_index then acc := Float.max !acc (Timing.net_slew timing nid));
+  !acc
 
 (* worst-case delay of a cell at an operating point, for local estimates *)
 let cell_delay (cell : Cell.t) ~slew ~load =
@@ -69,16 +66,12 @@ let count_window_violations cons timing nl =
   | None -> 0
   | Some _ ->
     Netlist.fold_instances nl ~init:0 ~f:(fun acc inst ->
-        let slew = worst_input_slew timing nl inst in
-        let violated =
-          List.exists
-            (fun (_, nid) ->
-              not
-                (Constraints.allows cons ~cell:inst.cell ~slew
-                   ~load:(Timing.net_load timing nid)))
-            inst.outputs
-        in
-        if violated then acc + 1 else acc)
+        let slew = worst_input_slew timing inst in
+        let violated = ref false in
+        Netlist.iter_outputs inst ~f:(fun _ nid ->
+            if not (Constraints.allows cons ~cell:inst.cell ~slew ~load:(Timing.net_load timing nid))
+            then violated := true);
+        if !violated then acc + 1 else acc)
 
 (* ------------------------------------------------------------------ *)
 (* Buffering                                                           *)
@@ -134,9 +127,8 @@ let fix_electrical st timing =
   let edits = ref 0 in
   let max_fanout = st.cons.Constraints.max_fanout in
   Netlist.iter_instances nl ~f:(fun inst ->
-      let slew = worst_input_slew timing nl inst in
-      List.iter
-        (fun (_, nid) ->
+      let slew = worst_input_slew timing inst in
+      Netlist.iter_outputs inst ~f:(fun _ nid ->
           let net = Netlist.net nl nid in
           let load = Timing.net_load timing nid in
           let fanout = List.length net.Netlist.sinks in
@@ -162,9 +154,7 @@ let fix_electrical st timing =
                   (1 + int_of_float (load /. Float.max cap_limit 0.001))
               in
               if buffer_net st ~net_id:nid ~groups then incr edits
-          end)
-        inst.outputs)
-  ;
+          end));
   !edits
 
 (* ------------------------------------------------------------------ *)
@@ -175,7 +165,7 @@ let replace_gate_with_chain st inst ~gate_family ~pins_map =
   (* [pins_map]: (family input pin, source net) list for the first gate;
      an inverter restores polarity onto the original output net. *)
   let nl = st.nl in
-  let out_net = match inst.Netlist.outputs with [ (_, n) ] -> n | _ -> raise Exit in
+  let out_net = match Netlist.connections inst with _, [ (_, n) ] -> n | _ -> raise Exit in
   Netlist.remove_instance nl inst.inst_id;
   let mid = Netlist.add_net nl () in
   let gate_cell = Choice.pick st.cons st.lib ~family:gate_family ~load:0.002 ~slew:0.1 in
@@ -195,12 +185,13 @@ let replace_gate_with_chain st inst ~gate_family ~pins_map =
 let decompose st (inst : Netlist.instance) =
   let nl = st.nl in
   let family = inst.cell.Cell.family in
-  let input net_pin = List.assoc net_pin inst.inputs in
+  let input pin = Netlist.pin_net inst pin in
+  let inputs, outputs = Netlist.connections inst in
   try
     match family with
     | "FA1" -> begin
       let a = input "A" and b = input "B" and ci = input "CI" in
-      match (List.assoc_opt "S" inst.outputs, List.assoc_opt "CO" inst.outputs) with
+      match (List.assoc_opt "S" outputs, List.assoc_opt "CO" outputs) with
       | Some s_net, Some co_net ->
         Netlist.remove_instance nl inst.inst_id;
         let xo3 = Choice.pick st.cons st.lib ~family:"XO3" ~load:0.002 ~slew:0.1 in
@@ -224,7 +215,7 @@ let decompose st (inst : Netlist.instance) =
     end
     | "XO3" -> begin
       let a = input "A" and b = input "B" and c = input "C" in
-      match inst.outputs with
+      match outputs with
       | [ (_, out_net) ] ->
         Netlist.remove_instance nl inst.inst_id;
         let mid = Netlist.add_net nl () in
@@ -249,11 +240,11 @@ let decompose st (inst : Netlist.instance) =
     end
     | "AN2" | "AN3" | "AN4" ->
       let nand = "ND" ^ String.sub family 2 1 in
-      replace_gate_with_chain st inst ~gate_family:nand ~pins_map:inst.inputs
+      replace_gate_with_chain st inst ~gate_family:nand ~pins_map:inputs
     | "OR2" | "OR3" | "OR4" ->
       let nor = "NR" ^ String.sub family 2 1 in
-      replace_gate_with_chain st inst ~gate_family:nor ~pins_map:inst.inputs
-    | "MU2" -> replace_gate_with_chain st inst ~gate_family:"MU2I" ~pins_map:inst.inputs
+      replace_gate_with_chain st inst ~gate_family:nor ~pins_map:inputs
+    | "MU2" -> replace_gate_with_chain st inst ~gate_family:"MU2I" ~pins_map:inputs
     | _ -> false
   with Not_found | Exit -> false
 
@@ -275,12 +266,11 @@ let improve_path st timing (path : Path.t) ~budget =
         | None -> () (* already restructured this round *)
         | Some inst ->
           if inst.cell.Cell.name = step.cell.Cell.name then begin
-            let slew = worst_input_slew timing nl inst in
-            let load =
-              List.fold_left
-                (fun acc (_, nid) -> Float.max acc (Timing.net_load timing nid))
-                0.0 inst.outputs
-            in
+            let slew = worst_input_slew timing inst in
+            let load = ref 0.0 in
+            Netlist.iter_outputs inst ~f:(fun _ nid ->
+                load := Float.max !load (Timing.net_load timing nid));
+            let load = !load in
             (* Upsizing only pays while the cell is underpowered for its
                load: past an effective fanout of ~4 per drive unit the
                bigger input capacitance just pushes the delay upstream. *)
@@ -309,20 +299,12 @@ let improve_path st timing (path : Path.t) ~budget =
     steps;
   !moves
 
-let take n xs =
-  let rec go n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: go (n - 1) rest
-  in
-  go n xs
-
 let recover_timing st timing =
   let violating =
     Timing.endpoints timing
     |> List.filter (fun (ep : Timing.endpoint_timing) -> ep.slack < 0.0)
     |> List.sort (fun (a : Timing.endpoint_timing) b -> Float.compare a.slack b.slack)
-    |> take 96
+    |> List.filteri (fun i _ -> i < 96)
   in
   let moves = ref 0 in
   List.iter
@@ -345,9 +327,8 @@ let repair_windows st timing =
     Netlist.iter_instances nl ~f:(fun inst ->
         let slew_limit = Constraints.window_slew_max st.cons inst.cell in
         if slew_limit < infinity then
-          List.iter
-            (fun (pin, nid) ->
-              if Some pin <> inst.cell.Cell.clock_pin then begin
+          Netlist.iter_inputs inst ~f:(fun p nid ->
+              if p <> inst.cell.Cell.clock_index then begin
                 let slew = Timing.net_slew timing nid in
                 if slew > slew_limit then begin
                   (* sharpen the edge: upsize the driving cell *)
@@ -355,7 +336,7 @@ let repair_windows st timing =
                   | None -> ()
                   | Some { inst = drv_id; pin = _ } -> begin
                     let drv = Netlist.instance nl drv_id in
-                    let drv_slew = worst_input_slew timing nl drv in
+                    let drv_slew = worst_input_slew timing drv in
                     let drv_load = Timing.net_load timing nid in
                     match Choice.upsize st.cons st.lib drv.cell ~load:drv_load ~slew:drv_slew with
                     | Some bigger ->
@@ -366,9 +347,7 @@ let repair_windows st timing =
                     | None -> ()
                   end
                 end
-              end)
-            inst.inputs)
-    ;
+              end));
     !edits
 
 (* ------------------------------------------------------------------ *)
@@ -380,11 +359,11 @@ let recover_area st timing =
   let moves = ref 0 in
   Netlist.iter_instances nl ~f:(fun inst ->
       if not (Cell.is_sequential inst.cell) then begin
-        match inst.outputs with
-        | [ (_, out_net) ] ->
+        match Netlist.connections inst with
+        | _, [ (_, out_net) ] ->
           let slack = Timing.net_slack timing out_net in
           if slack > 0.05 then begin
-            let slew = worst_input_slew timing nl inst in
+            let slew = worst_input_slew timing inst in
             let load = Timing.net_load timing out_net in
             (* walk down the ladder as far as the local slack allows,
                keeping a 1.6x margin since slack is shared along the path *)

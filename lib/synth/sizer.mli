@@ -25,9 +25,7 @@ type report = {
   window_violations : int;  (** remaining hard window violations *)
 }
 
-val worst_input_slew :
-  Vartune_sta.Timing.t -> Vartune_netlist.Netlist.t -> Vartune_netlist.Netlist.instance ->
-  float
+val worst_input_slew : Vartune_sta.Timing.t -> Vartune_netlist.Netlist.instance -> float
 (** Worst slew over the instance's data inputs (clock pin excluded);
     falls back to the analysis input slew for source-only cells. *)
 

@@ -122,10 +122,11 @@ let eval_netlist nl ~input_values =
     (fun inst_id ->
       let inst = Netlist.instance nl inst_id in
       let family = inst.Netlist.cell.Cell.family in
+      let _, outputs = Netlist.connections inst in
+      let pin p = net (Netlist.pin_net inst p) in
       if Cell.is_sequential inst.Netlist.cell then
-        List.iter (fun (_, nid) -> Hashtbl.replace net_values nid false) inst.outputs
+        List.iter (fun (_, nid) -> Hashtbl.replace net_values nid false) outputs
       else if family = "FA1" then begin
-        let pin p = net (List.assoc p inst.Netlist.inputs) in
         let x = pin "A" and y = pin "B" and z = pin "CI" in
         List.iter
           (fun (pin_name, nid) ->
@@ -136,11 +137,10 @@ let eval_netlist nl ~input_values =
               | other -> failwith ("eval_netlist: FA1 pin " ^ other)
             in
             Hashtbl.replace net_values nid v)
-          inst.outputs
+          outputs
       end
       else begin
-        let pin p = net (List.assoc p inst.Netlist.inputs) in
-        match inst.outputs with
+        match outputs with
         | [ (_, nid) ] -> Hashtbl.replace net_values nid (family_function family pin)
         | [] -> ()
         | _ -> failwith ("eval_netlist: unexpected multi-output " ^ family)
@@ -174,3 +174,30 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
   scan 0
+
+(* ------------------------------------------------------------------ *)
+(* Scratch directories                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* [<temp dir>/<prefix>_<pid>], deleted with everything under it when the
+   test process exits.  Created lazily by callers (see [mkdir_p]). *)
+let temp_root prefix =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "%s_%d" prefix (Unix.getpid ()))
+  in
+  at_exit (fun () -> rm_rf dir);
+  dir

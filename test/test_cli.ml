@@ -21,16 +21,13 @@ let exe =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "vartune.exe")
 
-let temp_root =
+let bench_exe =
   Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "vartune_test_cli_%d" (Unix.getpid ()))
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bench" "main.exe")
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let temp_root = Helpers.temp_root "vartune_test_cli"
+let mkdir_p = Helpers.mkdir_p
 
 let in_temp name =
   mkdir_p temp_root;
@@ -51,7 +48,7 @@ let write_file path contents =
 (* Runs the vartune binary through the shell (for env assignments and
    redirections), returning the exit code; stdout+stderr land in
    [capture] when given, else /dev/null. *)
-let vartune ?(env = []) ?capture ?(stdout_to = "") args =
+let run_exe exe ?(env = []) ?capture ?(stdout_to = "") args =
   let out =
     match (capture, stdout_to) with
     | Some path, _ -> Printf.sprintf "> %s 2>&1" (Filename.quote path)
@@ -68,6 +65,8 @@ let vartune ?(env = []) ?capture ?(stdout_to = "") args =
       out
   in
   Sys.command cmd
+
+let vartune = run_exe exe
 
 let check_exit name expected code = Alcotest.(check int) name expected code
 
@@ -268,6 +267,26 @@ let test_serve_sigterm_drain_under_load () =
         (r.Response.retry_after_s <> None))
     [ ("queued B", 1); ("queued C", 2) ]
 
+(* The bench's integer knobs reject a non-integer with 64, naming the
+   variable and the token, before doing any work. *)
+let test_bench_env_ints () =
+  List.iter
+    (fun (part, var, token) ->
+      let log = in_temp ("bench_" ^ var) in
+      check_exit
+        (Printf.sprintf "%s=%s exits 64" var token)
+        64
+        (run_exe bench_exe ~env:[ ("VARTUNE_BENCH_PARTS", part); (var, token) ] ~capture:log []);
+      let msg = read_file log in
+      Alcotest.(check bool) (var ^ " named with its token") true
+        (Helpers.contains msg var && Helpers.contains msg token))
+    [
+      ("kernels", "VARTUNE_SAMPLES", "abc");
+      ("kernels", "VARTUNE_SEED", "4.2");
+      ("serve", "VARTUNE_SERVE_REQUESTS", "many");
+      ("overload", "VARTUNE_OVERLOAD_QUEUE_CAP", "8x");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden digests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -283,6 +302,24 @@ let digest s = Digest.to_hex (Digest.string s)
 let test_golden_eval () =
   let evaled = Run.eval (Request.Statlib { seed = 42; samples = 8 }) in
   Alcotest.(check string) "statlib seed 42, N=8" golden_statlib (digest evaled.Run.out)
+
+(* The seed-42, N=16 experiment — the request perfbench's
+   experiment_cold workload sends, whose oracle line carries the same
+   digest — and its minimum period, pinned bit for bit. *)
+let golden_experiment = "67260b2c54302e0e4a437d8ef52edaa4"
+let golden_min_period_bits = 4616279778008236032L (* 4.080078125 ns *)
+
+let test_golden_experiment () =
+  let out = in_temp "experiment.out" in
+  check_exit "experiment exits 0" 0
+    (vartune ~stdout_to:(Filename.quote out)
+       [ "experiment"; "-n"; "16"; "--seed"; "42"; "--no-store" ]);
+  Alcotest.(check string) "experiment stdout" golden_experiment (digest (read_file out));
+  let setup =
+    Vartune_flow.Experiment.prepare_request (Request.Min_period { seed = 42; samples = 16 })
+  in
+  Alcotest.(check int64) "minimum period bits" golden_min_period_bits
+    (Int64.bits_of_float setup.Vartune_flow.Experiment.min_period)
 
 let test_golden_run_dir () =
   let rd = in_temp "golden_run" in
@@ -304,11 +341,13 @@ let () =
           Alcotest.test_case "parse ok (0)" `Quick test_parse_ok;
           Alcotest.test_case "damaged journal (65)" `Quick test_resume_damaged_journal;
           Alcotest.test_case "journal version 2 (65)" `Quick test_old_journal_version;
+          Alcotest.test_case "bench integer knobs (64)" `Quick test_bench_env_ints;
         ] );
       ( "golden",
         [
           Alcotest.test_case "Run.eval statlib digest" `Quick test_golden_eval;
           Alcotest.test_case "statlib --run-dir digests" `Quick test_golden_run_dir;
+          Alcotest.test_case "experiment seed 42, N=16" `Slow test_golden_experiment;
         ] );
       ( "resume",
         [

@@ -23,16 +23,8 @@ module Run_report = Vartune_flow.Run_report
 module Cluster = Vartune_tuning.Cluster
 module Threshold = Vartune_tuning.Threshold
 
-let temp_root =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "vartune_test_journal_%d" (Unix.getpid ()))
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let temp_root = Helpers.temp_root "vartune_test_journal"
+let mkdir_p = Helpers.mkdir_p
 
 let fresh_path name =
   mkdir_p temp_root;

@@ -50,7 +50,7 @@ let test_wiring () =
   | Some r -> Alcotest.(check int) "mid driver" i_inv r.Netlist.inst
   | None -> Alcotest.fail "mid should be driven");
   Alcotest.(check bool) "mid sink is nd2" true
-    (List.exists (fun (r : Netlist.pin_ref) -> r.inst = i_nd && r.pin = "A")
+    (List.exists (fun (r : Netlist.pin_ref) -> r.inst = i_nd && r.pin = Cell.pin_index nd2 "A")
        net_mid.Netlist.sinks)
 
 let test_double_drive_rejected () =
@@ -96,13 +96,13 @@ let test_set_cell () =
 
 let test_rewire_input () =
   let nl, a, b, _, _, _, i_nd, _ = build_chain () in
-  Netlist.rewire_input nl ~inst:i_nd ~pin:"A" b;
+  Netlist.rewire_input nl ~inst:i_nd ~pin:(Cell.pin_index nd2 "A") b;
   let inst = Netlist.instance nl i_nd in
-  Alcotest.(check bool) "pin moved" true (List.assoc "A" inst.Netlist.inputs = b);
+  Alcotest.(check bool) "pin moved" true (Netlist.pin_net inst "A" = b);
   Alcotest.(check int) "b has two sinks" 2 (List.length (Netlist.net nl b).Netlist.sinks);
   Alcotest.(check bool) "a sink gone" true
     (not
-       (List.exists (fun (r : Netlist.pin_ref) -> r.inst = i_nd && r.pin = "A")
+       (List.exists (fun (r : Netlist.pin_ref) -> r.inst = i_nd && r.pin = Cell.pin_index nd2 "A")
           (Netlist.net nl a).Netlist.sinks))
 
 let test_usage_and_area () =
@@ -262,7 +262,7 @@ let test_export_import_faithful () =
   let nl, a, _b, _mid, _out, i_inv, i_nd, _i_ff = build_chain () in
   ignore (Netlist.fresh_name nl ~prefix:"buf");
   Netlist.remove_instance nl i_inv;
-  Netlist.rewire_input nl ~inst:i_nd ~pin:"A" a;
+  Netlist.rewire_input nl ~inst:i_nd ~pin:(Cell.pin_index nd2 "A") a;
   let repr = Netlist.export nl in
   let back = Netlist.import repr in
   Alcotest.(check string) "name" (Netlist.name nl) (Netlist.name back);
@@ -304,7 +304,7 @@ let test_import_rejects_corrupt () =
   let bad_sinks =
     Array.map
       (fun (n, d, sinks) ->
-        (n, d, List.map (fun r -> { r with Netlist.pin = "NOPE" }) sinks))
+        (n, d, List.map (fun (inst, _) -> (inst, "NOPE")) sinks))
       repr.Netlist.repr_nets
   in
   expect_reject "bad sink pin" { repr with Netlist.repr_nets = bad_sinks };

@@ -328,18 +328,14 @@ let check_same_analysis msg nl a b =
     check_net "min_arrival" (Timing.net_min_arrival a nid) (Timing.net_min_arrival b nid)
       nid
   done;
-  Netlist.iter_instances nl ~f:(fun inst ->
-      List.iter
-        (fun (out_pin, _) ->
-          let ca = Timing.critical_input a inst.Netlist.inst_id ~out_pin in
-          let cb = Timing.critical_input b inst.inst_id ~out_pin in
-          match (ca, cb) with
-          | None, None -> ()
-          | Some (pa, aa, da), Some (pb, ab, db) ->
-            if pa <> pb || bits da <> bits db || aa.Arc.related_pin <> ab.Arc.related_pin
-            then Alcotest.failf "%s: %s/%s winning arc differs" msg inst.inst_name out_pin
-          | _ -> Alcotest.failf "%s: %s/%s crit presence differs" msg inst.inst_name out_pin)
-        inst.outputs);
+  for nid = 0 to Netlist.net_count nl - 1 do
+    match (Timing.critical_arc a nid, Timing.critical_arc b nid) with
+    | None, None -> ()
+    | Some (aa, da), Some (ab, db) ->
+      if bits da <> bits db || aa.Arc.related_pin <> ab.Arc.related_pin then
+        Alcotest.failf "%s: net %d winning arc differs" msg nid
+    | _ -> Alcotest.failf "%s: net %d crit presence differs" msg nid
+  done;
   let check_eps what ea eb =
     if List.length ea <> List.length eb then
       Alcotest.failf "%s: %s count differs" msg what;
@@ -455,6 +451,142 @@ let random_dag rng =
   Netlist.mark_primary_output nl (pick !avail);
   (nl, Array.of_list !movable)
 
+(* Independent STA oracle: brute force over every path of a small DAG
+   netlist, sharing nothing with Timing but the arc tables.  Loads and
+   slews come from direct recursion; setup arrival is the max over
+   launch-to-net paths of the arc delays summed from the launch end,
+   required the min over net-to-endpoint paths of the endpoint
+   requirement less the delays taken from the capture end, and hold
+   arrival the min over register-launched paths of the summed min
+   delays.  The summation orders are the analysis's, so values must
+   agree bit for bit. *)
+let check_against_paths msg cfg nl timing =
+  let open Timing in
+  let n_nets = Netlist.net_count nl in
+  let is_po nid = List.mem nid (Netlist.primary_outputs nl) in
+  let load nid =
+    let net = Netlist.net nl nid in
+    let caps =
+      List.fold_left
+        (fun acc (r : Netlist.pin_ref) ->
+          acc +. (Netlist.instance nl r.inst).cell.Cell.pin_array.(r.pin).Pin.capacitance)
+        0.0 net.Netlist.sinks
+    in
+    let n = List.length net.sinks in
+    let wire =
+      if n = 0 then 0.0 else cfg.wire_cap_base +. (cfg.wire_cap_per_sink *. float_of_int n)
+    in
+    caps +. wire +. if is_po nid then cfg.output_load else 0.0
+  in
+  (* the arcs driving a net: (arc, input net or -1, sequential driver) *)
+  let driver_arcs nid =
+    match (Netlist.net nl nid).Netlist.driver with
+    | None -> []
+    | Some { inst; pin } ->
+      let i = Netlist.instance nl inst in
+      let cell = i.Netlist.cell in
+      Array.to_list
+        (Array.mapi
+           (fun ai arc ->
+             let rel = cell.Cell.pin_related.(pin).(ai) in
+             (arc, (if rel < 0 then -1 else i.conns.(rel)), Cell.is_sequential cell))
+           cell.Cell.pin_arcs.(pin))
+  in
+  let rec slew nid =
+    match driver_arcs nid with
+    | [] -> cfg.input_slew
+    | arcs ->
+      List.fold_left
+        (fun acc (arc, innet, seq) ->
+          let t = Arc.transition arc ~slew:(in_slew innet seq) ~load:(load nid) in
+          if t > acc then t else acc)
+        0.0 arcs
+  and in_slew innet seq =
+    if seq then cfg.clock_slew else if innet < 0 then cfg.input_slew else slew innet
+  in
+  (* every launch-to-net path, as its arc delays in launch order *)
+  let rec paths_to nid =
+    match driver_arcs nid with
+    | [] -> [ [] ]
+    | arcs ->
+      List.concat_map
+        (fun (arc, innet, seq) ->
+          let d = Arc.delay arc ~slew:(in_slew innet seq) ~load:(load nid) in
+          if seq || innet < 0 then [ [ d ] ] else List.map (fun p -> p @ [ d ]) (paths_to innet))
+        arcs
+  in
+  (* every register-launched path's summed min delay *)
+  let rec hold_sums nid =
+    List.concat_map
+      (fun (arc, innet, seq) ->
+        let d = Arc.min_delay arc ~slew:(in_slew innet seq) ~load:(load nid) in
+        if seq then [ 0.0 +. d ]
+        else if innet < 0 then []
+        else List.map (fun v -> v +. d) (hold_sums innet))
+      (driver_arcs nid)
+  in
+  let seeds nid =
+    (if is_po nid then [ cfg.clock_period -. cfg.guard_band ] else [])
+    @ Netlist.fold_instances nl ~init:[] ~f:(fun acc i ->
+          let cell = i.Netlist.cell in
+          if Cell.is_sequential cell && Netlist.pin_net i "D" = nid then
+            (cfg.clock_period -. cfg.guard_band -. cell.Cell.setup_time) :: acc
+          else acc)
+  in
+  (* every net-to-endpoint path's requirement, delays taken from the
+     capture end *)
+  let rec required_values nid =
+    seeds nid
+    @ List.concat_map
+        (fun (r : Netlist.pin_ref) ->
+          let i = Netlist.instance nl r.inst in
+          let cell = i.Netlist.cell in
+          if Cell.is_sequential cell then []
+          else
+            List.concat
+              (List.init (Array.length cell.Cell.pin_arcs) (fun p ->
+                   let out = i.conns.(p) in
+                   if out < 0 || not (Pin.is_output cell.pin_array.(p)) then []
+                   else
+                     List.concat
+                       (List.mapi
+                          (fun ai rel ->
+                            if rel <> r.pin then []
+                            else
+                              let d =
+                                Arc.delay cell.pin_arcs.(p).(ai) ~slew:(slew nid) ~load:(load out)
+                              in
+                              List.map (fun v -> v -. d) (required_values out))
+                          (Array.to_list cell.pin_related.(p))))))
+        (Netlist.net nl nid).Netlist.sinks
+  in
+  let check what got want nid =
+    if bits got <> bits want then Alcotest.failf "%s: net %d %s: %h <> %h" msg nid what got want
+  in
+  for nid = 0 to n_nets - 1 do
+    check "load" (net_load timing nid) (load nid) nid;
+    check "slew" (net_slew timing nid) (slew nid) nid;
+    check "arrival" (net_arrival timing nid)
+      (List.fold_left
+         (fun acc p -> Float.max acc (List.fold_left ( +. ) 0.0 p))
+         neg_infinity (paths_to nid))
+      nid;
+    check "hold arrival" (net_min_arrival timing nid)
+      (List.fold_left Float.min infinity (hold_sums nid))
+      nid;
+    check "required" (net_required timing nid)
+      (List.fold_left Float.min infinity (required_values nid))
+      nid
+  done
+
+let test_sta_matches_paths =
+  Helpers.qtest ~count:50 "run = brute-force path enumeration"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let nl, _ = random_dag (Rng.create seed) in
+      check_against_paths (Printf.sprintf "seed %d" seed) config nl (Timing.run config nl);
+      true)
+
 let test_retime_random_sequences =
   Helpers.qtest ~count:30 "retime = fresh run under random move sequences"
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -479,7 +611,10 @@ let test_retime_random_sequences =
               changed := id :: !changed)
         done;
         t := Timing.retime !t ~changed:!changed;
-        check_same_analysis (Printf.sprintf "seed %d" seed) nl !t (Timing.run config nl)
+        check_same_analysis (Printf.sprintf "seed %d" seed) nl !t (Timing.run config nl);
+        (* the retimed requireds read cached forward delays: hold them
+           to fresh Arc.delay lookups along every path too *)
+        check_against_paths (Printf.sprintf "seed %d retimed" seed) config nl !t
       done;
       true)
 
@@ -546,5 +681,6 @@ let () =
           Alcotest.test_case "structural fallback" `Quick test_retime_structural_fallback;
           Alcotest.test_case "fewer evals on local move" `Quick test_retime_fewer_evals;
           test_retime_random_sequences;
+          test_sta_matches_paths;
         ] );
     ]

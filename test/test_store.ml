@@ -105,6 +105,30 @@ let test_result_roundtrip () =
   Alcotest.(check bool) "netlist image identical" true
     (Netlist.export r.Synthesis.netlist = Netlist.export back.Synthesis.netlist)
 
+(* The store format pinned absolutely: the Codec bytes of one mapped
+   and sized netlist (seed-42 statistical library over the small
+   catalog, the tiny microcontroller sized at a 2.5 ns clock) and their
+   decode -> encode round trip.  Netlists hold pins as indices in
+   memory but the codec writes pin names, so these bytes, and the store
+   keys over them, do not move with the in-memory model. *)
+let golden_sized_result = "67b97a32a1e78c09657334e67e5c0e3e"
+
+let test_codec_oracle () =
+  let lib =
+    Statistical.build Characterize.default_config ~mismatch:Mismatch.default ~seed:42 ~n:4
+      ~specs:Helpers.small_specs ()
+  in
+  let cons = Constraints.make ~clock_period:2.5 () in
+  let res = Synthesis.run cons lib (Mcu.generate ~config:tiny_config ()) in
+  let sizer = res.Synthesis.sizer in
+  Alcotest.(check bool) "the sizer edited the netlist" true
+    (sizer.Vartune_synth.Sizer.resized > 0 && sizer.buffered + sizer.decomposed > 0);
+  let bytes = encode Codec.w_result res in
+  Alcotest.(check string) "sized result bytes" golden_sized_result
+    (Digest.to_hex (Digest.string bytes));
+  let back = decode (Codec.r_result ~timing_config:(Constraints.timing_config cons)) bytes in
+  Alcotest.(check bool) "decode -> encode round trip" true (encode Codec.w_result back = bytes)
+
 let test_paths_roundtrip () =
   let run = Lazy.force tiny_run in
   let back = decode Codec.r_paths (encode Codec.w_paths run.Experiment.paths) in
@@ -382,6 +406,7 @@ let () =
         [
           Alcotest.test_case "library roundtrip" `Quick test_library_roundtrip;
           Alcotest.test_case "result roundtrip" `Slow test_result_roundtrip;
+          Alcotest.test_case "sized netlist bytes" `Quick test_codec_oracle;
           Alcotest.test_case "paths roundtrip" `Slow test_paths_roundtrip;
           Alcotest.test_case "design sigma roundtrip" `Slow test_design_sigma_roundtrip;
         ] );
